@@ -275,10 +275,12 @@ func (s *Session) Query(ctx context.Context, query string, args ...storage.Value
 	defer span.End()
 	// A plan-cache hit is by construction a SELECT, so its authority
 	// class is known without re-parsing; only cold or non-SELECT text
-	// pays the parse here (the catalog parses cold SELECTs once more
-	// when it caches them).
+	// pays the parse here. A write hands its parsed statement down so
+	// the catalog does not parse it again (the catalog parses cold
+	// SELECTs once more when it caches them).
 	authority := AuthMetadataRead
 	routable := true // a cache hit is a SELECT, routable by construction
+	var write sql.Statement
 	if s.Catalog == nil || !s.Catalog.HasCachedSelect(query) {
 		stmt, err := sql.Parse(query)
 		if err != nil {
@@ -294,6 +296,7 @@ func (s *Session) Query(ctx context.Context, query string, args ...storage.Value
 		default:
 			authority = AuthMetadataWrite
 			routable = false
+			write = stmt
 		}
 	}
 	if err := s.authorize(authority); err != nil {
@@ -311,7 +314,12 @@ func (s *Session) Query(ctx context.Context, query string, args ...storage.Value
 			return res, nil
 		}
 	}
-	res, err := cat.Query(s.scope(ctx), query, args...)
+	var res *sql.Result
+	if write != nil {
+		res, err = cat.QueryStatement(s.scope(ctx), query, write, args...)
+	} else {
+		res, err = cat.Query(s.scope(ctx), query, args...)
+	}
 	if err != nil {
 		return nil, err
 	}

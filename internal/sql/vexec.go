@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -166,19 +167,26 @@ func (c *scanCursor) open() error {
 		c.rows = append(c.rows, row)
 		return true
 	}
-	switch access {
-	case accessIndexEq:
-		return c.ex.tx.LookupEqual(c.step.table, c.step.index, key, collect)
-	case accessIndexRange:
-		return c.ex.tx.ScanRange(c.step.table, c.step.index, lo, hi, collect)
-	default:
-		sc, err := c.ex.tx.NewBatchScanner(c.step.table)
-		if err != nil {
+	if access == accessIndexEq || access == accessIndexRange {
+		var err error
+		if access == accessIndexEq {
+			err = c.ex.tx.LookupEqual(c.step.table, c.step.index, key, collect)
+		} else {
+			err = c.ex.tx.ScanRange(c.step.table, c.step.index, lo, hi, collect)
+		}
+		// A DROP INDEX that lands between planning and this probe leaves
+		// the plan naming a missing index. The full scan below gives the
+		// same answer because the residual WHERE re-checks every row.
+		if !errors.Is(err, storage.ErrNoIndex) {
 			return err
 		}
-		c.sc = sc
-		return nil
 	}
+	sc, err := c.ex.tx.NewBatchScanner(c.step.table)
+	if err != nil {
+		return err
+	}
+	c.sc = sc
+	return nil
 }
 
 func (c *scanCursor) next() (*storage.Batch, error) {

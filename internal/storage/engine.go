@@ -164,15 +164,25 @@ type table struct {
 	indexes map[string]*index // lower-cased index name
 	pkIndex *index            // nil when the table has no primary key
 	dead    int               // committed-dead version count, drives vacuum
+	// live counts committed live versions. Commit, WAL replay, snapshot
+	// and dump restore, and replica apply keep it exact, so row counts
+	// and quota checks never scan.
+	//odbis:guardedby mu -- WAL replay and restore also write it, single-threaded in Open before the engine is published
+	live int
+	//odbis:guardedby mu
+	quota *rowQuota // nil when no row cap governs the table
 }
 
 // Engine is the storage engine. It is safe for concurrent use.
 type Engine struct {
 	opts Options
 
-	mu     sync.RWMutex // guards tables map and closing
+	mu     sync.RWMutex // guards tables map, quotas and closing
 	tables map[string]*table
 	closed bool
+	// quotas maps a lower-cased table-name prefix to its row cap; see
+	// SetRowQuota.
+	quotas map[string]*rowQuota
 
 	txMu     sync.Mutex // guards txActive and txAborted
 	txActive map[uint64]bool
@@ -315,14 +325,9 @@ func (e *Engine) Stats() Stats {
 		Reads:  e.statsReads.Load(),
 		Writes: e.statsWrites.Load(),
 	}
-	snap := e.takeSnapshotLocked()
 	for _, t := range e.tables {
 		t.mu.RLock()
-		for i := range t.versions {
-			if e.visible(&t.versions[i], snap, 0) {
-				st.Rows++
-			}
-		}
+		st.Rows += t.live
 		t.mu.RUnlock()
 	}
 	return st
@@ -375,6 +380,7 @@ func (e *Engine) CreateTable(s *Schema) error {
 		t.pkIndex = pk
 		t.indexes[lowerName(pk.info.Name)] = pk
 	}
+	t.quota = e.quotaFor(key)
 	e.tables[key] = t
 	if e.wal != nil {
 		if err := e.wal.logCreateTable(s); err != nil {
@@ -398,9 +404,13 @@ func (e *Engine) DropTable(name string) error {
 		return ErrClosed
 	}
 	key := lowerName(name)
-	if _, ok := e.tables[key]; !ok {
+	t, ok := e.tables[key]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoTable, name)
 	}
+	// The dropped rows leave the table's quota; transactions still
+	// holding reservations against it release them when they finish.
+	moveQuota(t, nil)
 	delete(e.tables, key)
 	e.schemaEpoch.Add(1)
 	// Ship before the WAL write: the in-memory drop already happened and

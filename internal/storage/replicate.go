@@ -165,7 +165,9 @@ func (e *Engine) ApplyReplicated(payload []byte) error {
 }
 
 // applyReplicatedTx applies one commit frame's ops under a fresh
-// replica-local transaction id.
+// replica-local transaction id. Only the ops that actually applied carry
+// their table into settle, so bootstrap overlap never double-counts live
+// rows.
 //
 // The frame's primary txid is deliberately not reused for xmin/xmax:
 // replica-local read transactions draw ids from the same counter, so a
@@ -186,17 +188,19 @@ func (e *Engine) applyReplicatedTx(ops []txOp) error {
 				return err
 			}
 		}
-		if err := e.applyReplicatedOp(local, op); err != nil {
+		t, err := e.applyReplicatedOp(local, op)
+		if err != nil {
 			e.abortReplicatedTx(local, ops[:applied])
 			return err
 		}
+		ops[i].tbl = t
 		applied++
 		if uint64(op.rid) > maxRID {
 			maxRID = uint64(op.rid)
 		}
 	}
 	e.finishTx(local, txCommitted)
-	e.noteDead(ops, txCommitted)
+	e.settle(ops, nil, txCommitted)
 	// Keep the local RID horizon past every replicated rid so local
 	// allocations (none today, but Attachment users may mint rids) never
 	// collide with future frames.
@@ -215,25 +219,28 @@ func (e *Engine) applyReplicatedTx(ops []txOp) error {
 // replica is expected to re-bootstrap.
 func (e *Engine) abortReplicatedTx(local uint64, partial []txOp) {
 	e.finishTx(local, txAborted)
-	e.noteDead(partial, txAborted)
+	e.settle(partial, nil, txAborted)
 }
 
-func (e *Engine) applyReplicatedOp(local uint64, op txOp) error {
+// applyReplicatedOp applies one op and returns the table it changed, or
+// nil when the op was already reflected (bootstrap overlap) or its table
+// is gone.
+func (e *Engine) applyReplicatedOp(local uint64, op txOp) (*table, error) {
 	t, err := e.getTable(op.table)
 	if err != nil {
 		if errors.Is(err, ErrNoTable) {
 			// Dropped by a frame the bootstrap dump already contained;
 			// the drop governs.
-			return nil
+			return nil, nil
 		}
-		return err
+		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch op.kind {
 	case opInsert:
 		if _, ok := t.byRID[op.rid]; ok {
-			return nil // already applied (bootstrap overlap)
+			return nil, nil // already applied (bootstrap overlap)
 		}
 		slot := rowID(len(t.versions))
 		t.versions = append(t.versions, version{rid: op.rid, row: op.row, xmin: local})
@@ -244,13 +251,13 @@ func (e *Engine) applyReplicatedOp(local uint64, op txOp) error {
 	case opDelete:
 		slot, ok := t.byRID[op.rid]
 		if !ok {
-			return nil // delete already reflected in the bootstrap dump
+			return nil, nil // delete already reflected in the bootstrap dump
 		}
 		v := &t.versions[slot]
 		if v.xmax != 0 {
-			return nil // already deleted (bootstrap overlap)
+			return nil, nil // already deleted (bootstrap overlap)
 		}
 		v.xmax = local
 	}
-	return nil
+	return t, nil
 }

@@ -399,6 +399,7 @@ func (e *Engine) restoreState(raw []byte, src string) error {
 			t.byRID[rid] = rowID(len(t.versions))
 			t.versions = append(t.versions, version{rid: rid, row: row})
 		}
+		t.live = len(t.versions)
 		if len(s.PrimaryKey) > 0 {
 			pk := e.buildIndex(t, IndexInfo{
 				Name:    s.Name + "_pkey",

@@ -21,6 +21,9 @@ type Tx struct {
 	snap snapshot
 	done bool
 	ops  []txOp
+	// quotas holds the transaction's row-cap reservations, one per quota
+	// its writes touched.
+	quotas []reservation
 }
 
 type txOpKind uint8
@@ -34,7 +37,8 @@ type txOp struct {
 	kind  txOpKind
 	table string
 	rid   RID
-	row   Row // opInsert only
+	row   Row    // opInsert only
+	tbl   *table // the table written; nil for a replicated op that was skipped
 }
 
 // Begin starts a new transaction bound to the background context.
@@ -158,6 +162,9 @@ func (tx *Tx) Insert(tableName string, row Row) (RID, error) {
 			}
 		}
 	}
+	if err := tx.reserve(t); err != nil {
+		return 0, err
+	}
 	rid := RID(tx.e.nextRID.Add(1) - 1)
 	slot := rowID(len(t.versions))
 	t.versions = append(t.versions, version{rid: rid, row: checked, xmin: tx.id})
@@ -165,7 +172,7 @@ func (tx *Tx) Insert(tableName string, row Row) (RID, error) {
 	for _, ix := range t.indexes {
 		ix.insert(ix.keyFor(checked), slot)
 	}
-	tx.ops = append(tx.ops, txOp{kind: opInsert, table: t.schema.Name, rid: rid, row: checked})
+	tx.ops = append(tx.ops, txOp{kind: opInsert, table: t.schema.Name, rid: rid, row: checked, tbl: t})
 	tx.e.statsWrites.Add(1)
 	return rid, nil
 }
@@ -250,7 +257,8 @@ func (tx *Tx) deleteLocked(t *table, rid RID) error {
 		}
 	}
 	v.xmax = tx.id
-	tx.ops = append(tx.ops, txOp{kind: opDelete, table: t.schema.Name, rid: rid})
+	tx.unreserve(t)
+	tx.ops = append(tx.ops, txOp{kind: opDelete, table: t.schema.Name, rid: rid, tbl: t})
 	tx.e.statsWrites.Add(1)
 	return nil
 }
@@ -456,7 +464,7 @@ func (tx *Tx) Commit() error {
 			// Could not make the transaction durable: abort it so memory
 			// state matches the log.
 			e.finishTx(tx.id, txAborted)
-			e.noteDead(tx.ops, txAborted)
+			e.settle(tx.ops, tx.quotas, txAborted)
 			return fmt.Errorf("storage: commit: %w", err)
 		}
 		if n > 0 && tx.ctx != nil {
@@ -472,7 +480,7 @@ func (tx *Tx) Commit() error {
 	e.finishTx(tx.id, txCommitted)
 	e.tap.shipLocked(true, func(enc *encoder) { encodeTxFrame(enc, tx.id, tx.ops) })
 	e.tap.mu.Unlock()
-	e.noteDead(tx.ops, txCommitted)
+	e.settle(tx.ops, tx.quotas, txCommitted)
 	return nil
 }
 
@@ -483,8 +491,14 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	tx.done = true
+	if len(tx.ops) == 0 {
+		// No version references a transaction that wrote nothing, so its
+		// id retires like a commit's instead of joining the aborted set.
+		tx.e.finishTx(tx.id, txCommitted)
+		return nil
+	}
 	tx.e.finishTx(tx.id, txAborted)
-	tx.e.noteDead(tx.ops, txAborted)
+	tx.e.settle(tx.ops, tx.quotas, txAborted)
 	return nil
 }
 
@@ -497,36 +511,4 @@ func (e *Engine) finishTx(id uint64, st txStatus) {
 		e.txAborted[id] = true
 	}
 	e.txMu.Unlock()
-}
-
-// noteDead bumps per-table dead counters after a finished transaction and
-// triggers an opportunistic vacuum for tables that accumulated many dead
-// versions. Only a committed delete or an aborted insert strands a
-// version; committed inserts are live and must not count (bulk loads
-// would otherwise thrash the vacuum).
-func (e *Engine) noteDead(ops []txOp, outcome txStatus) {
-	counts := map[string]int{}
-	for _, op := range ops {
-		dead := (outcome == txCommitted && op.kind == opDelete) ||
-			(outcome == txAborted && op.kind == opInsert)
-		if dead {
-			counts[lowerName(op.table)]++
-		}
-	}
-	vacuumNames := make([]string, 0, len(counts))
-	e.mu.RLock()
-	for name, n := range counts {
-		if t, ok := e.tables[name]; ok {
-			t.mu.Lock()
-			t.dead += n
-			if t.dead >= vacuumThreshold {
-				vacuumNames = append(vacuumNames, name)
-			}
-			t.mu.Unlock()
-		}
-	}
-	e.mu.RUnlock()
-	for _, name := range vacuumNames {
-		e.maybeVacuumTable(name)
-	}
 }

@@ -472,12 +472,14 @@ func (e *Engine) applyWALRecord(payload []byte) (maxTx, maxRID uint64, err error
 				for _, ix := range t.indexes {
 					ix.insert(ix.keyFor(row), slot)
 				}
+				t.live++
 			case opDelete:
 				if !ok {
 					continue
 				}
-				if slot, exists := t.byRID[rid]; exists {
+				if slot, exists := t.byRID[rid]; exists && t.versions[slot].xmax == 0 {
 					t.versions[slot].xmax = txid
+					t.live--
 				}
 			default:
 				return 0, 0, fmt.Errorf("storage: corrupt op kind %d", kind)

@@ -29,10 +29,13 @@ import (
 
 // Errors returned by the registry.
 var (
-	ErrNoTenant    = errors.New("tenant: no such tenant")
-	ErrExists      = errors.New("tenant: already exists")
-	ErrSuspended   = errors.New("tenant: suspended")
-	ErrQuota       = errors.New("tenant: quota exceeded")
+	ErrNoTenant  = errors.New("tenant: no such tenant")
+	ErrExists    = errors.New("tenant: already exists")
+	ErrSuspended = errors.New("tenant: suspended")
+	// ErrQuota is storage's row-cap sentinel: the plan's MaxRows is
+	// enforced inside the writing transaction, so every ingress path
+	// (SQL, ORM, ETL sinks, the wire) returns this same error.
+	ErrQuota       = storage.ErrQuota
 	ErrUnknownPlan = errors.New("tenant: unknown plan")
 	ErrBadTenantID = errors.New("tenant: invalid tenant id")
 )
@@ -41,7 +44,7 @@ var (
 type Plan struct {
 	Name          string
 	MaxTables     int // 0 = unlimited
-	MaxRows       int // total rows across tenant tables; 0 = unlimited
+	MaxRows       int // total rows across tenant tables, enforced by storage; 0 = unlimited
 	MonthlyFee    float64
 	PricePerQuery float64
 	PricePer1kRow float64 // per 1000 rows loaded
@@ -110,7 +113,25 @@ func NewRegistry(e *storage.Engine) (*Registry, error) {
 	for _, p := range DefaultPlans {
 		r.plans[p.Name] = p
 	}
+	if err := r.installQuotas(""); err != nil {
+		return nil, err
+	}
 	return r, nil
+}
+
+// installQuotas hands the row cap of every tenant on plan (every plan
+// when plan is empty) to storage, which enforces it on each insert.
+func (r *Registry) installQuotas(plan string) error {
+	all, err := r.tenants.All()
+	if err != nil {
+		return err
+	}
+	for _, info := range all {
+		if p, ok := r.plans[info.Plan]; ok && (plan == "" || plan == info.Plan) {
+			r.engine.SetRowQuota(physicalPrefix(info.ID), p.MaxRows)
+		}
+	}
+	return nil
 }
 
 // Engine exposes the shared storage engine.
@@ -122,7 +143,7 @@ func (r *Registry) DefinePlan(p Plan) error {
 		return fmt.Errorf("tenant: plan needs a name")
 	}
 	r.plans[p.Name] = p
-	return nil
+	return r.installQuotas(p.Name)
 }
 
 // Plan returns a plan by name.
@@ -149,6 +170,7 @@ func (r *Registry) Create(id, name, plan string) (*Info, error) {
 	if err := r.tenants.Insert(&info); err != nil {
 		return nil, err
 	}
+	r.engine.SetRowQuota(physicalPrefix(id), r.plans[plan].MaxRows)
 	return &info, nil
 }
 
@@ -203,7 +225,11 @@ func (r *Registry) SetPlan(id, plan string) error {
 		return err
 	}
 	info.Plan = plan
-	return r.tenants.Save(info)
+	if err := r.tenants.Save(info); err != nil {
+		return err
+	}
+	r.engine.SetRowQuota(physicalPrefix(id), r.plans[plan].MaxRows)
+	return nil
 }
 
 // Drop removes a tenant and every physical table in its namespace.
@@ -219,6 +245,7 @@ func (r *Registry) Drop(id string) error {
 			}
 		}
 	}
+	r.engine.SetRowQuota(prefix, 0)
 	if _, err := r.usage.DeleteWhere("tenant", id); err != nil {
 		return err
 	}
@@ -412,7 +439,19 @@ func (c *Catalog) logical(physical string) string {
 // bounds the statement: cancellation or deadline expiry aborts execution
 // at the next row checkpoint and the transaction rolls back.
 func (c *Catalog) Query(ctx context.Context, query string, args ...storage.Value) (*sql.Result, error) {
-	res, err := c.queryDB(ctx, c.db, query, args)
+	return c.metered(c.queryDB(ctx, c.db, query, args))
+}
+
+// QueryStatement is Query for a caller that has already parsed query
+// into stmt (the services layer parses to classify authority), so the
+// text is not parsed a second time. query must be the text stmt came
+// from: a SELECT is cached under it.
+func (c *Catalog) QueryStatement(ctx context.Context, query string, stmt sql.Statement, args ...storage.Value) (*sql.Result, error) {
+	return c.metered(c.queryParsed(ctx, query, stmt, args))
+}
+
+// metered records a successful statement against the tenant's usage.
+func (c *Catalog) metered(res *sql.Result, err error) (*sql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -429,15 +468,7 @@ func (c *Catalog) Query(ctx context.Context, query string, args ...storage.Value
 // entries invalidate under the replica's own schema epoch as DDL frames
 // apply, so cached plans never cross engines.
 func (c *Catalog) QueryOn(ctx context.Context, eng *storage.Engine, query string, args ...storage.Value) (*sql.Result, error) {
-	res, err := c.queryDB(ctx, sql.NewDB(eng), query, args)
-	if err != nil {
-		return nil, err
-	}
-	c.reg.Record(c.id, MetricQueries, 1)
-	if res.Affected > 0 {
-		c.reg.Record(c.id, MetricRowsLoaded, int64(res.Affected))
-	}
-	return res, nil
+	return c.metered(c.queryDB(ctx, sql.NewDB(eng), query, args))
 }
 
 func (c *Catalog) queryDB(ctx context.Context, db *sql.DB, query string, args []storage.Value) (*sql.Result, error) {
@@ -446,7 +477,7 @@ func (c *Catalog) queryDB(ctx context.Context, db *sql.DB, query string, args []
 	// and stores the already-namespaced statement. Suspension and plan
 	// validity are still re-checked on every call.
 	if st, ok := c.db.CachedSelect(c.id, query); ok {
-		if err := c.checkQuota(ctx, st.Statement()); err != nil {
+		if err := c.checkPlan(st.Statement()); err != nil {
 			return nil, err
 		}
 		return st.QueryContext(ctx, args...)
@@ -455,7 +486,11 @@ func (c *Catalog) queryDB(ctx context.Context, db *sql.DB, query string, args []
 	if err != nil {
 		return nil, err
 	}
-	if err := c.checkQuota(ctx, stmt); err != nil {
+	return c.queryParsed(ctx, query, stmt, args)
+}
+
+func (c *Catalog) queryParsed(ctx context.Context, query string, stmt sql.Statement, args []storage.Value) (*sql.Result, error) {
+	if err := c.checkPlan(stmt); err != nil {
 		return nil, err
 	}
 	rewritten := sql.RewriteTables(stmt, c.physical)
@@ -481,8 +516,10 @@ func (c *Catalog) Exec(ctx context.Context, query string, args ...storage.Value)
 	return res.Affected, nil
 }
 
-// checkQuota enforces plan limits for DDL/DML statements.
-func (c *Catalog) checkQuota(ctx context.Context, stmt sql.Statement) error {
+// checkPlan rejects statements from a suspended tenant and enforces the
+// plan's table cap. The row cap is not checked here: storage enforces it
+// inside the writing transaction (see Registry.installQuotas).
+func (c *Catalog) checkPlan(stmt sql.Statement) error {
 	info, err := c.reg.Get(c.id)
 	if err != nil {
 		return err
@@ -494,21 +531,8 @@ func (c *Catalog) checkQuota(ctx context.Context, stmt sql.Statement) error {
 	if err != nil {
 		return err
 	}
-	switch s := stmt.(type) {
-	case *sql.CreateTableStmt:
-		if plan.MaxTables > 0 && len(c.Tables()) >= plan.MaxTables {
-			return fmt.Errorf("%w: plan %s allows %d tables", ErrQuota, plan.Name, plan.MaxTables)
-		}
-	case *sql.InsertStmt:
-		if plan.MaxRows > 0 {
-			total, err := c.totalRows(ctx)
-			if err != nil {
-				return err
-			}
-			if total+len(s.Rows) > plan.MaxRows {
-				return fmt.Errorf("%w: plan %s allows %d rows", ErrQuota, plan.Name, plan.MaxRows)
-			}
-		}
+	if _, ok := stmt.(*sql.CreateTableStmt); ok && plan.MaxTables > 0 && len(c.Tables()) >= plan.MaxTables {
+		return fmt.Errorf("%w: plan %s allows %d tables", ErrQuota, plan.Name, plan.MaxTables)
 	}
 	return nil
 }
@@ -526,24 +550,19 @@ func (c *Catalog) Tables() []string {
 	return out
 }
 
-// totalRows counts committed rows across the tenant's tables.
-func (c *Catalog) totalRows(ctx context.Context) (int, error) {
+// RowCount reports total committed rows in the tenant's namespace. It
+// sums storage's per-table live-row counters, so it never scans.
+func (c *Catalog) RowCount(ctx context.Context) (int, error) {
 	total := 0
-	err := c.reg.engine.ViewCtx(ctx, func(tx *storage.Tx) error {
-		for _, logical := range c.Tables() {
-			n, err := tx.Count(c.physical(logical))
-			if err != nil {
-				return err
-			}
-			total += n
+	for _, logical := range c.Tables() {
+		n, err := c.reg.engine.LiveRows(c.physical(logical))
+		if err != nil {
+			return 0, err
 		}
-		return nil
-	})
-	return total, err
+		total += n
+	}
+	return total, nil
 }
-
-// RowCount reports total committed rows in the tenant's namespace.
-func (c *Catalog) RowCount(ctx context.Context) (int, error) { return c.totalRows(ctx) }
 
 // Schema returns the schema of a logical table, with the logical name
 // restored.

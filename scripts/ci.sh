@@ -69,11 +69,15 @@ go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/ten
 # exactly the code the race detector exists for. PlanCacheCoherent is
 # the plan-cache coherence test (DDL churning an index under concurrent
 # cached reads) — the epoch check, the per-entry replan lock, and the
-# LRU mutex are all load-bearing exactly there.
-echo "==> fault-injection + cache-coherence suite under -race"
-go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica' \
+# LRU mutex are all load-bearing exactly there. RowQuota/RowCap are the
+# row-cap choke point: concurrent inserters through SQL, storage and ETL
+# sinks racing for the last slot. LiveRowCounters is the seeded history
+# (commits, rollbacks, vacuums, checkpoints, torn-tail reopens, replica
+# bootstraps) that holds every live-row counter equal to a full count.
+echo "==> fault-injection + cache-coherence + row-cap suite under -race"
+go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica|RowQuota|RowCap|LiveRowCounters' \
 	./internal/fault/ ./internal/storage/ ./internal/bus/ ./internal/etl/ ./internal/server/ \
-	./internal/sql/ ./internal/services/ ./internal/replica/ ./internal/netsrv/
+	./internal/sql/ ./internal/services/ ./internal/replica/ ./internal/netsrv/ ./internal/tenant/
 
 
 # Perf regression gate: re-run the benchmark harness and compare against
