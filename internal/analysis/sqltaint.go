@@ -37,8 +37,8 @@ import (
 // so reading any field back is tainted. Dynamic calls are invisible
 // (see Program), so the analyzer under-approximates.
 //
-// Sinks are sql.DB.Query/QueryTx/Exec and tenant.Catalog.Query/Exec
-// query-string arguments. Where the offending argument is a direct
+// Sinks are the query-string arguments of sql.DB.Query/QueryContext/
+// Exec/ExecContext/Prepare and tenant.Catalog.Query/Exec. Where the offending argument is a direct
 // fmt.Sprintf call with only plain %s/%d/%v/%f verbs, the diagnostic
 // carries a mechanical fix that rewrites the format string to ?
 // placeholders and passes the formatted values as bind arguments
@@ -217,14 +217,14 @@ func sqlSinkArg(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) {
 			if len(call.Args) > 0 {
 				return call.Args[0], "sql.DB." + name, true
 			}
-		case "QueryTx":
+		case "QueryContext", "ExecContext", "Prepare":
 			if len(call.Args) > 1 {
-				return call.Args[1], "sql.DB.QueryTx", true
+				return call.Args[1], "sql.DB." + name, true
 			}
 		}
 	case isNamed(recv, tenantPath, "Catalog"):
-		if (name == "Query" || name == "Exec") && len(call.Args) > 0 {
-			return call.Args[0], "tenant.Catalog." + name, true
+		if (name == "Query" || name == "Exec") && len(call.Args) > 1 {
+			return call.Args[1], "tenant.Catalog." + name, true
 		}
 	}
 	return nil, "", false

@@ -58,7 +58,7 @@ var txTableMethods = map[string]bool{
 // dbQueryMethods are sql.DB entry points that parse raw SQL, where
 // literal statements would carry un-rewritten table names.
 var dbQueryMethods = map[string]bool{
-	"Query": true, "QueryTx": true, "Exec": true,
+	"Query": true, "QueryContext": true, "Exec": true, "ExecContext": true, "Prepare": true,
 }
 
 func runTenantIsolation(pass *Pass) {

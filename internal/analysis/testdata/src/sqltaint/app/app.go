@@ -73,3 +73,9 @@ func HandleSuppressed(r *http.Request, db *sql.DB) {
 	q := "SELECT * FROM audit WHERE user = '" + r.FormValue("u") + "'"
 	db.Query(q) //odbis:ignore sqltaint -- fixture: demonstrates justified suppression
 }
+
+// HandlePrepared reaches the statement path's single entry point: the
+// text Prepare parses is the sink, whichever front door called it.
+func HandlePrepared(r *http.Request, db *sql.DB) {
+	db.Prepare("", "SELECT * FROM orders WHERE region = '"+r.FormValue("region")+"'", nil) // want `built with string concatenation`
+}

@@ -215,6 +215,10 @@ func (s *Session) DataSet(ctx context.Context, name string) (*DataSet, error) {
 	if err := s.authorize(AuthMetadataRead); err != nil {
 		return nil, err
 	}
+	return s.dataSet(name)
+}
+
+func (s *Session) dataSet(name string) (*DataSet, error) {
 	md, err := s.p.metadata()
 	if err != nil {
 		return nil, err
@@ -248,24 +252,14 @@ func (s *Session) DeleteDataSet(ctx context.Context, name string) error {
 	return nil
 }
 
-// RunDataSet executes a stored data set against the tenant catalog.
+// RunDataSet executes a stored data set against the tenant catalog,
+// authorized and routed as Query would the same text.
 func (s *Session) RunDataSet(ctx context.Context, name string, args ...storage.Value) (*sql.Result, error) {
-	ds, err := s.DataSet(ctx, name)
+	ds, err := s.dataSet(name)
 	if err != nil {
 		return nil, err
 	}
-	cat, err := s.requireCatalog()
-	if err != nil {
-		return nil, err
-	}
-	// Stored data sets are SELECTs in practice; route them like ad-hoc
-	// reads when a cached plan proves the statement is a SELECT.
-	if cat.HasCachedSelect(ds.Query) {
-		if res, ok := s.tryReplica(ctx, cat, ds.Query, args); ok {
-			return res, nil
-		}
-	}
-	return cat.Query(s.scope(ctx), ds.Query, args...)
+	return s.run(ctx, ds.Query, args)
 }
 
 // Query runs ad-hoc SQL against the tenant catalog (requires read
@@ -273,53 +267,44 @@ func (s *Session) RunDataSet(ctx context.Context, name string, args ...storage.V
 func (s *Session) Query(ctx context.Context, query string, args ...storage.Value) (*sql.Result, error) {
 	ctx, span := obs.StartSpan(ctx, "services.query")
 	defer span.End()
-	// A plan-cache hit is by construction a SELECT, so its authority
-	// class is known without re-parsing; only cold or non-SELECT text
-	// pays the parse here. A write hands its parsed statement down so
-	// the catalog does not parse it again (the catalog parses cold
-	// SELECTs once more when it caches them).
-	authority := AuthMetadataRead
-	routable := true // a cache hit is a SELECT, routable by construction
-	var write sql.Statement
-	if s.Catalog == nil || !s.Catalog.HasCachedSelect(query) {
-		stmt, err := sql.Parse(query)
-		if err != nil {
-			return nil, err
-		}
-		switch stmt.(type) {
-		case *sql.SelectStmt:
-			// read-only and replica-routable
-		case *sql.ExplainStmt:
-			// read-only, but always planned on the primary so the
-			// rendered plan reflects the authoritative engine
-			routable = false
-		default:
-			authority = AuthMetadataWrite
-			routable = false
-			write = stmt
-		}
-	}
-	if err := s.authorize(authority); err != nil {
-		return nil, err
-	}
+	return s.run(ctx, query, args)
+}
+
+// run is the one statement path behind Query and RunDataSet: prepare
+// the text once (a plan-cache hit skips the parse), authorize from the
+// statement's type, then serve a SELECT from an eligible replica or run
+// on the primary.
+func (s *Session) run(ctx context.Context, query string, args []storage.Value) (*sql.Result, error) {
 	cat, err := s.requireCatalog()
 	if err != nil {
+		return nil, err
+	}
+	st, err := cat.Prepare(query)
+	if err != nil {
+		return nil, err
+	}
+	authority, routable := AuthMetadataRead, false
+	switch st.Statement().(type) {
+	case *sql.SelectStmt:
+		routable = true
+	case *sql.ExplainStmt:
+		// read-only, but always planned on the primary so the rendered
+		// plan reflects the authoritative engine
+	default:
+		authority = AuthMetadataWrite
+	}
+	if err := s.authorize(authority); err != nil {
 		return nil, err
 	}
 	if err := fault.PointCtx(ctx, fault.ServicesQuery); err != nil {
 		return nil, err
 	}
 	if routable {
-		if res, ok := s.tryReplica(ctx, cat, query, args); ok {
+		if res, ok := s.tryReplica(ctx, cat, st, args); ok {
 			return res, nil
 		}
 	}
-	var res *sql.Result
-	if write != nil {
-		res, err = cat.QueryStatement(s.scope(ctx), query, write, args...)
-	} else {
-		res, err = cat.Query(s.scope(ctx), query, args...)
-	}
+	res, err := cat.Run(s.scope(ctx), nil, st, args)
 	if err != nil {
 		return nil, err
 	}

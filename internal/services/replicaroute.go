@@ -13,9 +13,10 @@ import (
 
 // Read routing over WAL-shipped replicas.
 //
-// Session.Query classifies each statement by authority; routable reads
-// (SELECTs, cached or cold — never EXPLAIN, never writes) are offered to
-// the replica set first. A replica is eligible only when it is healthy,
+// Session.Query and RunDataSet classify each prepared statement by
+// authority; routable reads (SELECTs, cached or cold — never EXPLAIN,
+// never writes) are offered to the replica set first and execute on the
+// replica's engine. A replica is eligible only when it is healthy,
 // within the configured lag bound, and has applied past the caller's
 // read-your-writes pin; anything else — no replicas attached, all lagging
 // or tripped, or a failure mid-read — falls back to the primary within
@@ -66,11 +67,11 @@ func (p *Platform) notePin(user string) {
 // means "use the primary": no set attached, no replica eligible, or the
 // attempt failed — an apply-side panic or error during the read falls
 // back to the primary in the same request rather than surfacing to the
-// caller. A query that is genuinely invalid also returns ok=false and
-// re-fails identically on the primary, which keeps error text and
-// metering single-sourced at the cost of one redundant parse on the
-// (already failing) path.
-func (s *Session) tryReplica(ctx context.Context, cat *tenant.Catalog, query string, args []storage.Value) (res *sql.Result, ok bool) {
+// caller. A statement that genuinely fails (say, an unknown table) also
+// returns ok=false and re-fails identically on the primary, which keeps
+// error text and metering single-sourced; the prepared statement is
+// reused, so the fallback does not parse again.
+func (s *Session) tryReplica(ctx context.Context, cat *tenant.Catalog, st *sql.Stmt, args []storage.Value) (res *sql.Result, ok bool) {
 	set := s.p.Replicas
 	if set == nil {
 		return nil, false
@@ -87,7 +88,7 @@ func (s *Session) tryReplica(ctx context.Context, cat *tenant.Catalog, query str
 	if err := fault.PointCtx(ctx, fault.ReplicaRead); err != nil {
 		return nil, false
 	}
-	r, err := cat.QueryOn(s.scope(ctx), eng, query, args...)
+	r, err := cat.Run(s.scope(ctx), eng, st, args)
 	if err != nil {
 		return nil, false
 	}

@@ -45,68 +45,11 @@ func (db *DB) Query(query string, args ...storage.Value) (*Result, error) {
 // cancelled or expired ctx aborts the statement with the ctx error after
 // rolling the transaction back.
 func (db *DB) QueryContext(ctx context.Context, query string, args ...storage.Value) (*Result, error) {
-	if st, ok := db.CachedSelect("", query); ok {
-		return st.QueryContext(ctx, args...)
-	}
-	stmt, err := Parse(query)
+	st, err := db.Prepare("", query, nil)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*SelectStmt); ok && PlanCacheEnabled() && !db.DisableIndexes {
-		return db.PrepareSelect("", query, sel).QueryContext(ctx, args...)
-	}
-	return db.QueryStatementContext(ctx, stmt, args...)
-}
-
-// QueryTx executes a statement inside an existing transaction. The
-// executor observes the transaction's context (see Engine.BeginCtx).
-func (db *DB) QueryTx(tx *storage.Tx, query string, args ...storage.Value) (*Result, error) {
-	if st, ok := db.CachedSelect("", query); ok {
-		return st.QueryTx(tx, args...)
-	}
-	stmt, err := Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*SelectStmt); ok && PlanCacheEnabled() && !db.DisableIndexes {
-		return db.PrepareSelect("", query, sel).QueryTx(tx, args...)
-	}
-	return db.exec(tx, stmt, args)
-}
-
-// QueryStatement executes an already-parsed (possibly rewritten)
-// statement inside its own transaction.
-func (db *DB) QueryStatement(stmt Statement, args ...storage.Value) (*Result, error) {
-	return db.QueryStatementContext(context.Background(), stmt, args...)
-}
-
-// QueryStatementContext is QueryStatement bound to ctx.
-func (db *DB) QueryStatementContext(ctx context.Context, stmt Statement, args ...storage.Value) (*Result, error) {
-	ctx, span := obs.StartSpan(ctx, "sql.exec")
-	defer span.End()
-	var res *Result
-	err := db.Engine.UpdateCtx(ctx, func(tx *storage.Tx) error {
-		// The sql.exec point fires inside the transaction on purpose: a
-		// panic injected here unwinds through UpdateCtx's deferred
-		// rollback and on into the server's recovery middleware — the
-		// full "handler dies mid-transaction" drill.
-		if err := fault.PointCtx(ctx, fault.SQLExec); err != nil {
-			return err
-		}
-		var err error
-		res, err = db.exec(tx, stmt, args)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryStatementTx executes an already-parsed statement inside an
-// existing transaction.
-func (db *DB) QueryStatementTx(tx *storage.Tx, stmt Statement, args ...storage.Value) (*Result, error) {
-	return db.exec(tx, stmt, args)
+	return db.Run(ctx, st, args)
 }
 
 // Exec runs a statement and returns the affected row count.
@@ -123,9 +66,47 @@ func (db *DB) ExecContext(ctx context.Context, query string, args ...storage.Val
 	return res.Affected, nil
 }
 
-func (db *DB) exec(tx *storage.Tx, stmt Statement, params []storage.Value) (*Result, error) {
+// Run executes a prepared statement inside its own transaction on db's
+// engine. The executor observes ctx (see QueryContext).
+func (db *DB) Run(ctx context.Context, st *Stmt, args []storage.Value) (*Result, error) {
+	ctx, span := obs.StartSpan(ctx, "sql.exec")
+	defer span.End()
+	var res *Result
+	err := db.Engine.UpdateCtx(ctx, func(tx *storage.Tx) error {
+		// The sql.exec point fires inside the transaction on purpose: a
+		// panic injected here unwinds through UpdateCtx's deferred
+		// rollback and on into the server's recovery middleware — the
+		// full "handler dies mid-transaction" drill.
+		if err := fault.PointCtx(ctx, fault.SQLExec); err != nil {
+			return err
+		}
+		var err error
+		res, err = db.RunTx(tx, st, args)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RunTx executes a prepared statement inside an existing transaction on
+// db's engine. A cached SELECT runs the plan resolved against that
+// engine's schema epoch.
+func (db *DB) RunTx(tx *storage.Tx, st *Stmt, args []storage.Value) (*Result, error) {
+	stmt := st.stmt
+	var plans map[*SelectStmt]*Plan
+	if e := db.entryFor(st); e != nil {
+		p, err := e.resolve(db)
+		if err != nil {
+			return nil, err
+		}
+		stmt = e.sel
+		plans = map[*SelectStmt]*Plan{e.sel: p}
+	}
 	ex := db.newExecutor(tx)
-	res, err := ex.run(stmt, params)
+	ex.plans = plans
+	res, err := ex.run(stmt, args)
 	ex.flush()
 	return res, err
 }

@@ -454,19 +454,29 @@ func TestTransactionalDML(t *testing.T) {
 	}
 }
 
+// TestQueryTxSeesOwnWrites: statements run with RunTx share the open
+// transaction, so a cold and then a cached SELECT both see its insert.
 func TestQueryTxSeesOwnWrites(t *testing.T) {
 	db := newTestDB(t)
 	tx := db.Engine.Begin()
 	defer tx.Rollback()
-	if _, err := db.QueryTx(tx, "INSERT INTO emp (id, name) VALUES (50, 'tmp')"); err != nil {
-		t.Fatal(err)
+	runTx := func(q string) *Result {
+		t.Helper()
+		st, err := db.Prepare("", q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.RunTx(tx, st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	res, err := db.QueryTx(tx, "SELECT COUNT(*) FROM emp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0] != int64(7) {
-		t.Errorf("count in tx = %v", res.Rows[0][0])
+	runTx("INSERT INTO emp (id, name) VALUES (50, 'tmp')")
+	for i := 0; i < 2; i++ {
+		if res := runTx("SELECT COUNT(*) FROM emp"); res.Rows[0][0] != int64(7) {
+			t.Errorf("run %d: count in tx = %v", i, res.Rows[0][0])
+		}
 	}
 }
 

@@ -2,12 +2,9 @@ package sql
 
 import (
 	"container/list"
-	"context"
 	"sync"
 	"sync/atomic"
 
-	"github.com/odbis/odbis/internal/fault"
-	"github.com/odbis/odbis/internal/obs"
 	"github.com/odbis/odbis/internal/storage"
 )
 
@@ -48,37 +45,36 @@ type cacheKey struct {
 
 // planEntry is one cached statement: the parsed (and, for tenants,
 // rewritten) SELECT plus the most recent plan compiled from it. The
-// statement is immutable; the plan pointer is swapped under mu when
-// the schema epoch moves.
+// statement is immutable; a fresh plan is read with one atomic load,
+// and mu serializes the replan when the schema epoch moves.
 type planEntry struct {
 	sel  *SelectStmt
 	mu   sync.Mutex
-	plan *Plan
+	plan atomic.Pointer[Plan]
 }
 
-// resolve returns a plan valid for the engine's current schema epoch,
+// validAt reports whether p was compiled under the schema epoch.
+func (p *Plan) validAt(epoch uint64) bool { return p != nil && p.epoch == epoch }
+
+// resolve returns a plan valid for db's current schema epoch,
 // recompiling a stale or missing one.
 func (e *planEntry) resolve(db *DB) (*Plan, error) {
 	epoch := db.Engine.SchemaEpoch()
+	if p := e.plan.Load(); p.validAt(epoch) {
+		return p, nil
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.plan != nil && e.plan.epoch == epoch {
-		return e.plan, nil
+	if p := e.plan.Load(); p.validAt(epoch) {
+		return p, nil
 	}
 	p, err := planSelect(db, e.sel)
 	if err != nil {
-		e.plan = nil
+		e.plan.Store(nil)
 		return nil, err
 	}
-	e.plan = p
+	e.plan.Store(p)
 	return p, nil
-}
-
-// fresh reports whether the cached plan is valid at epoch.
-func (e *planEntry) fresh(epoch uint64) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.plan != nil && e.plan.epoch == epoch
 }
 
 type lruItem struct {
@@ -94,9 +90,9 @@ type PlanCache struct {
 	cap       int
 	entries   map[cacheKey]*list.Element
 	lru       list.List // front = most recently used; values are *lruItem
-	hits      uint64
-	misses    uint64
 	evictions uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
 }
 
 func newPlanCache(capacity int) *PlanCache {
@@ -105,17 +101,32 @@ func newPlanCache(capacity int) *PlanCache {
 	return c
 }
 
-func (c *PlanCache) lookup(ns, text string) *planEntry {
+// lookup returns the entry cached under (ns, text), or nil. A found
+// entry counts as a hit when its plan is valid at epoch and as a miss
+// when it must replan; an absent one counts nothing, since the text
+// may not be a SELECT.
+func (c *PlanCache) lookup(ns, text string, epoch uint64) *planEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, ok := c.entries[cacheKey{ns: ns, text: text}]
+	if ok {
+		c.lru.MoveToFront(el)
+	}
+	c.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*lruItem).e
+	e := el.Value.(*lruItem).e
+	if e.plan.Load().validAt(epoch) {
+		c.hits.Add(1)
+		mPlanCacheHits.Inc()
+	} else {
+		c.miss()
+	}
+	return e
 }
 
+// insert caches sel under (ns, text) and returns its entry — or the
+// entry already there, when another caller got in first.
 func (c *PlanCache) insert(ns, text string, sel *SelectStmt) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,17 +147,8 @@ func (c *PlanCache) insert(ns, text string, sel *SelectStmt) *planEntry {
 	return e
 }
 
-func (c *PlanCache) hit() {
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-	mPlanCacheHits.Inc()
-}
-
 func (c *PlanCache) miss() {
-	c.mu.Lock()
-	c.misses++
-	c.mu.Unlock()
+	c.misses.Add(1)
 	mPlanCacheMisses.Inc()
 }
 
@@ -163,7 +165,7 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 	c := db.planCache()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return PlanCacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
+	return PlanCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions, Entries: len(c.entries)}
 }
 
 type planCacheAttachKey struct{}
@@ -174,104 +176,64 @@ func (db *DB) planCache() *PlanCache {
 	}).(*PlanCache)
 }
 
-// Stmt is a prepared SELECT: a handle onto a cache entry whose plan is
+// Stmt is a prepared statement, in the manner of an extended-query
+// Parse: the text is parsed (and rewritten) once and then executed any
+// number of times, with different arguments, through DB.Run or
+// DB.RunTx. A SELECT carries its plan-cache entry, whose plan is
 // revalidated against the schema epoch on every execution. Handles are
-// cheap and safe for concurrent use; the underlying plan is immutable.
+// safe for concurrent use; the statement and plans are immutable.
 type Stmt struct {
-	db *DB
-	e  *planEntry
+	ns, text string
+	stmt     Statement
+	eng      *storage.Engine // engine whose plan cache holds e
+	e        *planEntry      // nil unless the statement is a cached SELECT
 }
 
-// Statement returns the parsed SELECT the handle executes. Callers
-// must not mutate it.
-func (s *Stmt) Statement() *SelectStmt { return s.e.sel }
+// Statement returns the parsed (and rewritten) statement the handle
+// executes. Callers must not mutate it.
+func (s *Stmt) Statement() Statement { return s.stmt }
 
-// CachedSelect returns a prepared handle when (ns, text) is already
-// cached. A hit with a stale plan still returns the handle — the
-// replan happens at execution — but counts as a miss.
-func (db *DB) CachedSelect(ns, text string) (*Stmt, bool) {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return nil, false
-	}
-	c := db.planCache()
-	e := c.lookup(ns, text)
-	if e == nil {
-		return nil, false
-	}
-	if e.fresh(db.Engine.SchemaEpoch()) {
-		c.hit()
-	} else {
-		c.miss()
-	}
-	return &Stmt{db: db, e: e}, true
-}
+// Namespace returns the namespace the statement was prepared in.
+func (s *Stmt) Namespace() string { return s.ns }
 
-// HasCachedSelect reports whether (ns, text) is cached, without
-// touching the hit/miss counters or the LRU order — a peek for layers
-// that only need to know the statement is a known SELECT.
-func (db *DB) HasCachedSelect(ns, text string) bool {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return false
-	}
-	c := db.planCache()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[cacheKey{ns: ns, text: text}]
-	return ok
-}
-
-// PrepareSelect caches an already-parsed (and possibly rewritten)
-// SELECT under (ns, text) and returns its handle. The insertion counts
-// as the miss that parsing just paid. With caching disabled the handle
-// works but nothing is cached or counted.
-func (db *DB) PrepareSelect(ns, text string, sel *SelectStmt) *Stmt {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return &Stmt{db: db, e: &planEntry{sel: sel}}
-	}
-	c := db.planCache()
-	c.miss()
-	return &Stmt{db: db, e: c.insert(ns, text, sel)}
-}
-
-// Query executes the prepared statement in its own transaction.
-func (s *Stmt) Query(args ...storage.Value) (*Result, error) {
-	return s.QueryContext(context.Background(), args...)
-}
-
-// QueryContext is Query bound to ctx; it follows the same span, fault
-// point, and transaction discipline as DB.QueryStatementContext.
-func (s *Stmt) QueryContext(ctx context.Context, args ...storage.Value) (*Result, error) {
-	ctx, span := obs.StartSpan(ctx, "sql.exec")
-	defer span.End()
-	var res *Result
-	err := s.db.Engine.UpdateCtx(ctx, func(tx *storage.Tx) error {
-		if err := fault.PointCtx(ctx, fault.SQLExec); err != nil {
-			return err
+// Prepare returns the statement for text in namespace ns ("" for plain
+// DB queries; tenants use their id). It makes one plan-cache lookup and
+// counts it there; on a miss it parses text once, applies rewrite (nil
+// keeps the statement as parsed) and caches the result if it is a
+// SELECT. Writes are never cached or counted. The cache keys statements
+// by (ns, text), so ns must determine the rewrite.
+func (db *DB) Prepare(ns, text string, rewrite func(Statement) Statement) (*Stmt, error) {
+	var c *PlanCache
+	if planCacheOn.Load() && !db.DisableIndexes {
+		c = db.planCache()
+		if e := c.lookup(ns, text, db.Engine.SchemaEpoch()); e != nil {
+			return &Stmt{ns: ns, text: text, stmt: e.sel, eng: db.Engine, e: e}, nil
 		}
-		var err error
-		res, err = s.queryTx(tx, args)
-		return err
-	})
+	}
+	stmt, err := Parse(text)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
-}
-
-// QueryTx executes the prepared statement inside an existing
-// transaction.
-func (s *Stmt) QueryTx(tx *storage.Tx, args ...storage.Value) (*Result, error) {
-	return s.queryTx(tx, args)
-}
-
-func (s *Stmt) queryTx(tx *storage.Tx, params []storage.Value) (*Result, error) {
-	p, err := s.e.resolve(s.db)
-	if err != nil {
-		return nil, err
+	if rewrite != nil {
+		stmt = rewrite(stmt)
 	}
-	ex := s.db.newExecutor(tx)
-	ex.plans = map[*SelectStmt]*Plan{s.e.sel: p}
-	res, err := ex.runSelect(s.e.sel, params, nil)
-	ex.flush()
-	return res, err
+	st := &Stmt{ns: ns, text: text, stmt: stmt}
+	if sel, ok := stmt.(*SelectStmt); ok && c != nil {
+		c.miss()
+		st.eng, st.e = db.Engine, c.insert(ns, text, sel)
+		st.stmt = st.e.sel
+	}
+	return st, nil
+}
+
+// entryFor returns the cache entry st executes on db's engine: its own
+// when db shares the engine it was prepared on, otherwise the entry for
+// the same (namespace, text) in db's cache — seeded with st's parsed
+// statement, so a replica never re-parses. Runs count nothing; Prepare
+// already did.
+func (db *DB) entryFor(st *Stmt) *planEntry {
+	if st.e == nil || st.eng == db.Engine {
+		return st.e
+	}
+	return db.planCache().insert(st.ns, st.text, st.e.sel)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/odbis/odbis/internal/storage"
 )
 
 // TestPlanCacheHitRatio is the dashboard workload in miniature: the
@@ -112,7 +114,7 @@ func TestPlanCacheEvictionBound(t *testing.T) {
 		t.Errorf("evictions = %d, want >= %d", st.Evictions, over-planCacheCap)
 	}
 	// LRU order: the most recent text must still be cached.
-	if !db.HasCachedSelect("", fmt.Sprintf("SELECT id FROM emp WHERE id = %d", over-1)) {
+	if !cached(db, "", fmt.Sprintf("SELECT id FROM emp WHERE id = %d", over-1)) {
 		t.Error("most recently used entry was evicted")
 	}
 }
@@ -134,8 +136,8 @@ func TestPlanCacheDisabled(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
 		t.Errorf("disabled cache has activity: %+v", st)
 	}
-	if db.HasCachedSelect("", q) {
-		t.Error("HasCachedSelect true while cache disabled")
+	if cached(db, "", q) {
+		t.Error("statement cached while cache disabled")
 	}
 }
 
@@ -144,27 +146,103 @@ func TestPlanCacheDisabled(t *testing.T) {
 func TestPlanCacheNamespaces(t *testing.T) {
 	db := newTestDB(t)
 	q := "SELECT id FROM emp"
-	sel := mustParseSelect(t, q)
-	db.PrepareSelect("acme", q, sel)
-	if db.HasCachedSelect("", q) {
+	if _, err := db.Prepare("acme", q, nil); err != nil {
+		t.Fatal(err)
+	}
+	if cached(db, "", q) {
 		t.Error("namespace acme leaked into the default namespace")
 	}
-	if !db.HasCachedSelect("acme", q) {
+	if !cached(db, "acme", q) {
 		t.Error("prepared statement not visible under its namespace")
 	}
 }
 
-func mustParseSelect(t testing.TB, q string) *SelectStmt {
-	t.Helper()
-	stmt, err := Parse(q)
+// cached reports whether (ns, text) is in db's plan cache without
+// counting a lookup.
+func cached(db *DB, ns, text string) bool {
+	c := db.planCache()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[cacheKey{ns: ns, text: text}]
+	return ok
+}
+
+// TestPrepareCountsOnce: a prepared SELECT counts one miss when parsed
+// and one hit per later Prepare, however often each handle runs. Writes
+// and parse errors never count, and a stale plan counts as a miss.
+func TestPrepareCountsOnce(t *testing.T) {
+	db := newTestDB(t)
+	q := "SELECT name FROM emp WHERE dept_id = ?"
+	prepare := func(text string) *Stmt {
+		t.Helper()
+		st, err := db.Prepare("", text, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	want := func(hits, misses uint64) {
+		t.Helper()
+		if st := db.PlanCacheStats(); st.Hits != hits || st.Misses != misses {
+			t.Fatalf("stats = %+v, want %d hits / %d misses", st, hits, misses)
+		}
+	}
+	st := prepare(q)
+	for i := 0; i < 3; i++ {
+		if _, err := db.Run(context.Background(), st, []storage.Value{int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want(0, 1)
+	prepare(q)
+	want(1, 1)
+	prepare("INSERT INTO dept VALUES (7, 'ops')")
+	if _, err := db.Prepare("", "SELEC nonsense", nil); err == nil {
+		t.Fatal("Prepare accepted a malformed statement")
+	}
+	want(1, 1)
+	mustExec(t, db, "CREATE INDEX emp_dept ON emp (dept_id)")
+	prepare(q)
+	want(1, 2)
+}
+
+// TestRunResolvesOnTheEngineHandedIn: a statement prepared on one
+// engine runs on another against that engine's data, schema epoch and
+// plan cache, without parsing again and without counting.
+func TestRunResolvesOnTheEngineHandedIn(t *testing.T) {
+	primary, other := newTestDB(t), newTestDB(t)
+	mustExec(t, other, "INSERT INTO emp (id, name, dept_id) VALUES (99, 'zed', 9)")
+	mustExec(t, other, "CREATE INDEX emp_dept ON emp (dept_id)")
+	q := "SELECT name FROM emp WHERE dept_id = 9"
+	st, err := primary.Prepare("", q, nil)
 	if err != nil {
-		t.Fatalf("Parse(%q): %v", q, err)
+		t.Fatal(err)
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok {
-		t.Fatalf("Parse(%q) = %T, want *SelectStmt", q, stmt)
+	for i := 0; i < 2; i++ {
+		res, err := other.Run(context.Background(), st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rowsAsStrings(res); len(got) != 1 || got[0] != "zed" {
+			t.Fatalf("run %d on other engine: rows %v, want [zed]", i, got)
+		}
+		if !strings.HasPrefix(res.Plan, "index:") {
+			t.Errorf("run %d on other engine: plan %q, want its index", i, res.Plan)
+		}
 	}
-	return sel
+	res, err := primary.Run(context.Background(), st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 || res.Plan != "scan" {
+		t.Errorf("run on primary: %d rows by %q, want 0 rows by scan", len(res.Rows), res.Plan)
+	}
+	if got := other.PlanCacheStats(); got.Entries != 1 || got.Hits+got.Misses != 0 {
+		t.Errorf("other engine cache = %+v, want 1 uncounted entry", got)
+	}
+	if !cached(other, "", q) {
+		t.Error("other engine did not cache the statement under its text")
+	}
 }
 
 // TestPlanCacheCoherentUnderConcurrentDDL hammers cached reads while
@@ -263,10 +341,12 @@ func TestExplainRejectsNonSelect(t *testing.T) {
 // prepare, many executions with different parameters.
 func TestPreparedStmtReuse(t *testing.T) {
 	db := newTestDB(t)
-	q := "SELECT name FROM emp WHERE dept_id = ?"
-	st := db.PrepareSelect("", q, mustParseSelect(t, q))
+	st, err := db.Prepare("", "SELECT name FROM emp WHERE dept_id = ?", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for dept, wantN := range map[int64]int{1: 3, 2: 2, 3: 0} {
-		res, err := st.Query(dept)
+		res, err := db.Run(context.Background(), st, []storage.Value{dept})
 		if err != nil {
 			t.Fatalf("dept %d: %v", dept, err)
 		}
@@ -274,7 +354,7 @@ func TestPreparedStmtReuse(t *testing.T) {
 			t.Errorf("dept %d: %d rows, want %d", dept, len(res.Rows), wantN)
 		}
 	}
-	if st.Statement() == nil {
-		t.Error("Statement() returned nil")
+	if _, ok := st.Statement().(*SelectStmt); !ok {
+		t.Errorf("Statement() = %T, want *SelectStmt", st.Statement())
 	}
 }

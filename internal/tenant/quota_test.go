@@ -184,27 +184,72 @@ func TestRegistryInstallsCapsOnOpen(t *testing.T) {
 	}
 }
 
-// TestQueryStatementRunsTheParsedStatement: QueryStatement executes the
-// statement it is handed and does not parse the text again.
-func TestQueryStatementRunsTheParsedStatement(t *testing.T) {
+// TestRunExecutesThePreparedStatement: one Prepare, many Runs with
+// different arguments, each metered as a query.
+func TestRunExecutesThePreparedStatement(t *testing.T) {
 	r := newRegistry(t)
 	r.Create("a", "A", "standard")
 	c, _ := r.Catalog("a")
 	mustExec(t, c, "CREATE TABLE t (x INT)")
-	stmt, err := sql.Parse("INSERT INTO t VALUES (2)")
+	st, err := c.Prepare("INSERT INTO t VALUES (?)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.QueryStatement(context.Background(), "INSERT INTO t VALUES (1)", stmt); err != nil {
-		t.Fatal(err)
+	if _, ok := st.Statement().(*sql.InsertStmt); !ok {
+		t.Fatalf("Statement() = %T, want *sql.InsertStmt", st.Statement())
 	}
-	res, err := c.Query(context.Background(), "SELECT x FROM t")
+	before := queriesMetered(t, r, "a")
+	for _, x := range []int64{1, 2} {
+		if _, err := c.Run(context.Background(), nil, st, []storage.Value{x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := queriesMetered(t, r, "a") - before; got != 2 {
+		t.Errorf("metered queries = %d, want 2", got)
+	}
+	res, err := c.Query(context.Background(), "SELECT x FROM t ORDER BY x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != int64(2) {
-		t.Fatalf("rows = %v, want [[2]]", res.Rows)
+	if len(res.Rows) != 2 || res.Rows[0][0] != int64(1) || res.Rows[1][0] != int64(2) {
+		t.Fatalf("rows = %v, want [[1] [2]]", res.Rows)
 	}
+}
+
+// TestRunRefusesForeignStatements: a catalog runs only statements
+// prepared in its own namespace, so a handle from another tenant (or an
+// unrewritten one) cannot reach that tenant's tables.
+func TestRunRefusesForeignStatements(t *testing.T) {
+	r := newRegistry(t)
+	r.Create("a", "A", "standard")
+	r.Create("b", "B", "standard")
+	ca, _ := r.Catalog("a")
+	cb, _ := r.Catalog("b")
+	mustExec(t, ca, "CREATE TABLE t (x INT)")
+	mustExec(t, ca, "INSERT INTO t VALUES (1)")
+	st, err := ca.Prepare("SELECT x FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cb.Run(context.Background(), nil, st, nil); err == nil {
+		t.Fatalf("tenant b ran tenant a's statement: %v", res.Rows)
+	}
+	plain, err := sql.NewDB(r.Engine()).Prepare("", "SELECT x FROM t_a__t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := cb.Run(context.Background(), nil, plain, nil); err == nil {
+		t.Fatalf("tenant b ran an unrewritten statement: %v", res.Rows)
+	}
+}
+
+func queriesMetered(t *testing.T, r *Registry, id string) int64 {
+	t.Helper()
+	u, err := r.Usage(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u[MetricQueries]
 }
 
 // BenchmarkTenantInsert times a single-row INSERT through the tenant

@@ -85,7 +85,12 @@ const (
 	MetricAPICalls   = obs.TenantAPICalls
 )
 
-var tenantIDRe = regexp.MustCompile(`^[a-z0-9][a-z0-9-]{0,31}$`)
+// tenantIDRe admits 1–32 lower-case alphanumerics in hyphen-separated
+// runs. Forbidding "--" and a trailing "-" keeps physicalPrefix
+// prefix-free: t_<id>__ can never begin another tenant's prefix.
+var tenantIDRe = regexp.MustCompile(`^[a-z0-9]+(-[a-z0-9]+)*$`)
+
+func validTenantID(id string) bool { return len(id) <= 32 && tenantIDRe.MatchString(id) }
 
 // Registry manages tenants over one shared engine.
 type Registry struct {
@@ -157,7 +162,7 @@ func (r *Registry) Plan(name string) (Plan, error) {
 
 // Create provisions a tenant on a plan.
 func (r *Registry) Create(id, name, plan string) (*Info, error) {
-	if !tenantIDRe.MatchString(id) {
+	if !validTenantID(id) {
 		return nil, fmt.Errorf("%w: %q", ErrBadTenantID, id)
 	}
 	if _, ok := r.plans[plan]; !ok {
@@ -394,6 +399,8 @@ func (r *Registry) Invoice(id string) (*Invoice, error) {
 
 // --- catalogs ---
 
+// physicalPrefix is the tenant's namespace in the shared engine. For
+// ids validTenantID admits, no tenant's prefix begins another's.
 func physicalPrefix(tenantID string) string {
 	return "t_" + strings.ReplaceAll(tenantID, "-", "_") + "__"
 }
@@ -439,19 +446,41 @@ func (c *Catalog) logical(physical string) string {
 // bounds the statement: cancellation or deadline expiry aborts execution
 // at the next row checkpoint and the transaction rolls back.
 func (c *Catalog) Query(ctx context.Context, query string, args ...storage.Value) (*sql.Result, error) {
-	return c.metered(c.queryDB(ctx, c.db, query, args))
+	st, err := c.Prepare(query)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx, nil, st, args)
 }
 
-// QueryStatement is Query for a caller that has already parsed query
-// into stmt (the services layer parses to classify authority), so the
-// text is not parsed a second time. query must be the text stmt came
-// from: a SELECT is cached under it.
-func (c *Catalog) QueryStatement(ctx context.Context, query string, stmt sql.Statement, args ...storage.Value) (*sql.Result, error) {
-	return c.metered(c.queryParsed(ctx, query, stmt, args))
+// Prepare parses query once, with its logical table names rewritten
+// into the tenant namespace. A SELECT the tenant has run before comes
+// from the plan cache, keyed by (tenant, text), without parsing.
+func (c *Catalog) Prepare(query string) (*sql.Stmt, error) {
+	return c.db.Prepare(c.id, query, c.rewrite)
 }
 
-// metered records a successful statement against the tenant's usage.
-func (c *Catalog) metered(res *sql.Result, err error) (*sql.Result, error) {
+func (c *Catalog) rewrite(stmt sql.Statement) sql.Statement {
+	return sql.RewriteTables(stmt, c.physical)
+}
+
+// Run executes a statement from Prepare on eng: the shared engine when
+// eng is nil, or a read replica. A replica resolves the plan in its own
+// plan cache, against its own schema epoch. A statement prepared
+// outside this tenant's namespace is refused. Suspension and the plan's
+// table cap are checked on every run; a successful run is metered.
+func (c *Catalog) Run(ctx context.Context, eng *storage.Engine, st *sql.Stmt, args []storage.Value) (*sql.Result, error) {
+	if st.Namespace() != c.id {
+		return nil, fmt.Errorf("tenant: statement prepared in namespace %q, not %s", st.Namespace(), c.id)
+	}
+	if err := c.checkPlan(st.Statement()); err != nil {
+		return nil, err
+	}
+	db := c.db
+	if eng != nil && eng != db.Engine {
+		db = sql.NewDB(eng)
+	}
+	res, err := db.Run(ctx, st, args)
 	if err != nil {
 		return nil, err
 	}
@@ -460,51 +489,6 @@ func (c *Catalog) metered(res *sql.Result, err error) (*sql.Result, error) {
 		c.reg.Record(c.id, MetricRowsLoaded, int64(res.Affected))
 	}
 	return res, nil
-}
-
-// QueryOn is Query against an alternate engine — a read replica — with
-// the same namespace rewriting, quota checks, and metering. The replica
-// engine carries its own plan cache (a per-engine attachment) whose
-// entries invalidate under the replica's own schema epoch as DDL frames
-// apply, so cached plans never cross engines.
-func (c *Catalog) QueryOn(ctx context.Context, eng *storage.Engine, query string, args ...storage.Value) (*sql.Result, error) {
-	return c.metered(c.queryDB(ctx, sql.NewDB(eng), query, args))
-}
-
-func (c *Catalog) queryDB(ctx context.Context, db *sql.DB, query string, args []storage.Value) (*sql.Result, error) {
-	// Prepared fast path: a SELECT this tenant has run before skips
-	// parse and rewrite entirely — the cache is keyed by (tenant, text)
-	// and stores the already-namespaced statement. Suspension and plan
-	// validity are still re-checked on every call.
-	if st, ok := c.db.CachedSelect(c.id, query); ok {
-		if err := c.checkPlan(st.Statement()); err != nil {
-			return nil, err
-		}
-		return st.QueryContext(ctx, args...)
-	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return c.queryParsed(ctx, query, stmt, args)
-}
-
-func (c *Catalog) queryParsed(ctx context.Context, query string, stmt sql.Statement, args []storage.Value) (*sql.Result, error) {
-	if err := c.checkPlan(stmt); err != nil {
-		return nil, err
-	}
-	rewritten := sql.RewriteTables(stmt, c.physical)
-	if sel, ok := rewritten.(*sql.SelectStmt); ok {
-		return c.db.PrepareSelect(c.id, query, sel).QueryContext(ctx, args...)
-	}
-	return c.db.QueryStatementContext(ctx, rewritten, args...)
-}
-
-// HasCachedSelect reports whether query is a SELECT already compiled
-// into this tenant's plan cache. The metadata service uses this to
-// classify repeated dashboard queries without re-parsing them.
-func (c *Catalog) HasCachedSelect(query string) bool {
-	return c.db.HasCachedSelect(c.id, query)
 }
 
 // Exec is Query returning only the affected count.

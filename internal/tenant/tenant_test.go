@@ -3,6 +3,7 @@ package tenant
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -126,24 +127,124 @@ func TestCatalogJoinsAndAliases(t *testing.T) {
 	}
 }
 
+// TestSuspendResume: suspension blocks an already-open catalog at its
+// next statement, whether the SELECT is cold or already in the plan
+// cache.
 func TestSuspendResume(t *testing.T) {
+	for _, warm := range []bool{false, true} {
+		r := newRegistry(t)
+		r.Create("a", "A", "free")
+		c, _ := r.Catalog("a")
+		c.Exec(context.Background(), "CREATE TABLE t (x INT)")
+		if warm {
+			if _, err := c.Query(context.Background(), "SELECT * FROM t"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Suspend("a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Catalog("a"); !errors.Is(err, ErrSuspended) {
+			t.Errorf("warm=%v: catalog for suspended tenant: %v", warm, err)
+		}
+		// An already-open catalog is blocked at the next statement.
+		if _, err := c.Query(context.Background(), "SELECT * FROM t"); !errors.Is(err, ErrSuspended) {
+			t.Errorf("warm=%v: query on suspended tenant: %v", warm, err)
+		}
+		r.Resume("a")
+		if _, err := c.Query(context.Background(), "SELECT * FROM t"); err != nil {
+			t.Errorf("warm=%v: after resume: %v", warm, err)
+		}
+	}
+}
+
+// TestNestedTenantNamespaces: an id whose physical prefix would begin
+// inside another tenant's ("a--x" under "a": t_a__x__ vs t_a__) is
+// rejected, and the closest valid neighbours stay isolated for queries,
+// Tables, Drop and the MaxTables cap.
+func TestNestedTenantNamespaces(t *testing.T) {
+	ctx := context.Background()
 	r := newRegistry(t)
-	r.Create("a", "A", "free")
-	c, _ := r.Catalog("a")
-	c.Exec(context.Background(), "CREATE TABLE t (x INT)")
-	if err := r.Suspend("a"); err != nil {
+	for _, id := range []string{"a--x", "a-", "-a", "a---x"} {
+		if _, err := r.Create(id, "X", "free"); !errors.Is(err, ErrBadTenantID) {
+			t.Errorf("Create(%q) = %v, want ErrBadTenantID", id, err)
+		}
+	}
+	if _, err := r.Create("a", "A", "free"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Catalog("a"); !errors.Is(err, ErrSuspended) {
-		t.Errorf("catalog for suspended tenant: %v", err)
+	if _, err := r.Create("a-x", "AX", "free"); err != nil {
+		t.Fatal(err)
 	}
-	// An already-open catalog is blocked at the next statement.
-	if _, err := c.Query(context.Background(), "SELECT * FROM t"); !errors.Is(err, ErrSuspended) {
-		t.Errorf("query on suspended tenant: %v", err)
+	ca, _ := r.Catalog("a")
+	cx, _ := r.Catalog("a-x")
+	mustExec(t, cx, "CREATE TABLE secret (v INT)")
+	mustExec(t, cx, "INSERT INTO secret VALUES (42)")
+	for _, q := range []string{"SELECT v FROM x__secret", "SELECT v FROM _x__secret", "SELECT v FROM t_a_x__secret"} {
+		if res, err := ca.Query(ctx, q); err == nil {
+			t.Errorf("tenant a read %v from its neighbour via %q", res.Rows, q)
+		}
 	}
-	r.Resume("a")
-	if _, err := c.Query(context.Background(), "SELECT * FROM t"); err != nil {
-		t.Errorf("after resume: %v", err)
+
+	// MaxTables counts only the tenant's own tables.
+	free, _ := r.Plan("free")
+	for i := 1; i < free.MaxTables; i++ {
+		mustExec(t, cx, fmt.Sprintf("CREATE TABLE x%d (v INT)", i))
+	}
+	if tables := ca.Tables(); len(tables) != 0 {
+		t.Errorf("tenant a lists its neighbour's tables: %v", tables)
+	}
+	for i := 0; i < free.MaxTables; i++ {
+		if _, err := ca.Exec(ctx, fmt.Sprintf("CREATE TABLE a%d (v INT)", i)); err != nil {
+			t.Fatalf("tenant a table %d of %d: %v", i+1, free.MaxTables, err)
+		}
+	}
+	if _, err := cx.Exec(ctx, "CREATE TABLE over (v INT)"); !errors.Is(err, ErrQuota) {
+		t.Errorf("tenant a-x past MaxTables: %v, want ErrQuota", err)
+	}
+
+	if err := r.Drop("a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(cx.Tables()); got != free.MaxTables {
+		t.Errorf("after dropping tenant a, a-x has %d tables, want %d", got, free.MaxTables)
+	}
+	if res, err := cx.Query(ctx, "SELECT v FROM secret"); err != nil || len(res.Rows) != 1 || res.Rows[0][0] != int64(42) {
+		t.Errorf("a-x secret after dropping a = %v, %v; want [[42]]", res, err)
+	}
+}
+
+// TestPhysicalPrefixesNeverNest checks every valid id of up to six
+// characters over {a, b, -}: no tenant's physical prefix begins
+// another's, so HasPrefix matching in Tables, Drop and the table cap
+// can only ever see the tenant's own tables.
+func TestPhysicalPrefixesNeverNest(t *testing.T) {
+	var ids []string
+	var grow func(s string)
+	grow = func(s string) {
+		if validTenantID(s) {
+			ids = append(ids, s)
+		}
+		if len(s) == 6 {
+			return
+		}
+		for _, c := range []string{"a", "b", "-"} {
+			grow(s + c)
+		}
+	}
+	grow("")
+	if len(ids) < 100 {
+		t.Fatalf("only %d valid ids enumerated", len(ids))
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			if a != b && strings.HasPrefix(physicalPrefix(b), physicalPrefix(a)) {
+				t.Fatalf("prefix of %q (%s) begins the prefix of %q (%s)", a, physicalPrefix(a), b, physicalPrefix(b))
+			}
+		}
+	}
+	if !validTenantID(strings.Repeat("a", 32)) || validTenantID(strings.Repeat("a", 33)) {
+		t.Error("id length bound is not 32")
 	}
 }
 

@@ -23,9 +23,8 @@ type Stmt struct {
 // runs with the same seed replay the same statement sequence — the
 // property the HTTP-vs-binary A/B comparison depends on.
 type Mix struct {
-	// WritePct is the percentage of statements that are writes
-	// (default 20; 0 is honored, so use a negative value only if you
-	// want the default).
+	// WritePct is the percentage of statements that are writes. The
+	// zero value draws reads only; a negative value counts as 0.
 	WritePct int
 }
 
@@ -72,13 +71,7 @@ var ReadQueries = []string{
 // Next draws the next statement of the mix from rng: an ingest write
 // with probability WritePct/100, otherwise one of ReadQueries.
 func (m Mix) Next(rng *rand.Rand) Stmt {
-	writePct := m.WritePct
-	if writePct == 0 {
-		writePct = 20
-	} else if writePct < 0 {
-		writePct = 0
-	}
-	if rng.Intn(100) < writePct {
+	if rng.Intn(100) < m.WritePct {
 		return m.insert(rng)
 	}
 	switch q := ReadQueries[rng.Intn(len(ReadQueries))]; q {

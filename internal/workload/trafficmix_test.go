@@ -64,22 +64,25 @@ func TestMixDeterministic(t *testing.T) {
 	}
 }
 
-// TestMixWritePctZeroIsDefault documents the zero-value contract:
-// WritePct 0 means the 20% default, negative disables writes.
+// TestMixWritePctBounds documents the WritePct contract: the zero
+// value draws no writes, a negative value counts as 0, and 20 draws
+// about one write in five.
 func TestMixWritePctBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	def := 0
+	writes := 0
 	for i := 0; i < 1000; i++ {
-		if (Mix{}).Next(rng).Write {
-			def++
+		if (Mix{WritePct: 20}).Next(rng).Write {
+			writes++
 		}
 	}
-	if def < 100 || def > 320 {
-		t.Fatalf("default write draws = %d of 1000, want ~200", def)
+	if writes < 100 || writes > 320 {
+		t.Fatalf("WritePct 20 write draws = %d of 1000, want ~200", writes)
 	}
-	for i := 0; i < 200; i++ {
-		if (Mix{WritePct: -1}).Next(rng).Write {
-			t.Fatal("WritePct -1 must draw no writes")
+	for _, pct := range []int{0, -1} {
+		for i := 0; i < 200; i++ {
+			if (Mix{WritePct: pct}).Next(rng).Write {
+				t.Fatalf("WritePct %d must draw no writes", pct)
+			}
 		}
 	}
 }

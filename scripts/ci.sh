@@ -49,14 +49,17 @@ echo "==> go test ./..."
 go test ./...
 
 # Fuzz smoke: ten seconds each of FuzzBuildCFG (the CFG builder's
-# panic-freedom and structural invariants) and FuzzDecodeFrame (the wire
+# panic-freedom and structural invariants), FuzzDecodeFrame (the wire
 # decoder against hostile bytes — truncation, oversized lengths,
-# over-reads past the frame view) on every CI run without turning CI
-# into a fuzz farm.
+# over-reads past the frame view) and FuzzParse (Parse then the tenant
+# table rewrite, the front of every statement's path on both front
+# doors) on every CI run without turning CI into a fuzz farm.
 echo "==> fuzz smoke (FuzzBuildCFG, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/analysis/ -run '^$' -fuzz '^FuzzBuildCFG$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 echo "==> fuzz smoke (FuzzDecodeFrame, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/proto/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
+echo "==> fuzz smoke (FuzzParse, ${ODBIS_FUZZ_TIME:-10s})"
+go test ./internal/sql/ -run '^$' -fuzz '^FuzzParse$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 
 echo "==> go test -race (bus, etl, storage, tenant, sql, olap, services, server, fault, obs, replica, proto, netsrv, client)"
 go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/tenant/ \
