@@ -4,7 +4,9 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/odbis/odbis/internal/obs"
 )
@@ -210,23 +212,62 @@ func TestMetricsExemptFromAdmission(t *testing.T) {
 	obs.Reset()
 	ts, _ := testServerOpts(t, Options{MaxInFlight: 1})
 	// Occupy the only admission slot with a login whose body stalls: the
-	// handler blocks reading the request body until the pipe closes.
-	pr, pw := io.Pipe()
+	// handler blocks reading the request body until the pipe closes. The
+	// polling calls below take the slot too, so the login itself may be
+	// shed when it arrives; it then retries with a fresh stalled body.
+	var mu sync.Mutex
+	var stall *io.PipeWriter
+	// The login gets its own connection: sharing the default transport's
+	// pool with the polling loop below can starve it of one for seconds.
+	stallClient := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	released := false
 	done := make(chan struct{})
+	// Cleanups run last-in first-out, so this one releases the stalled
+	// login before the server's own cleanup waits for its connections —
+	// also when an assertion below ends the test early.
+	t.Cleanup(func() {
+		mu.Lock()
+		released = true
+		if stall != nil {
+			stall.Close()
+		}
+		mu.Unlock()
+		<-done
+	})
 	go func() {
 		defer close(done)
-		req, err := http.NewRequest("POST", ts.URL+"/api/login", pr)
-		if err != nil {
-			return
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err == nil {
+		for {
+			pr, pw := io.Pipe()
+			mu.Lock()
+			if released {
+				mu.Unlock()
+				return
+			}
+			stall = pw
+			mu.Unlock()
+			req, err := http.NewRequest("POST", ts.URL+"/api/login", pr)
+			if err != nil {
+				return
+			}
+			// A declared length sends the headers at once instead of
+			// after the transport's empty-body probe.
+			req.ContentLength = 64
+			resp, err := stallClient.Do(req)
+			pw.Close()
+			if err != nil {
+				return
+			}
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				return
+			}
 		}
 	}()
 	// Once the slot is held, unauthenticated API calls shed with 503.
+	// The login goroutine may take a while to be scheduled on a loaded
+	// host, so poll against a deadline rather than a try count.
 	shed := false
-	for i := 0; i < 500 && !shed; i++ {
+	for deadline := time.Now().Add(5 * time.Second); !shed && time.Now().Before(deadline); {
 		status, _, _ := call(t, ts, "", "GET", "/api/whoami", nil)
 		shed = status == http.StatusServiceUnavailable
 	}
@@ -239,6 +280,4 @@ func TestMetricsExemptFromAdmission(t *testing.T) {
 	if !strings.Contains(text, "odbis_http_shed_total") {
 		t.Error("/metrics missing odbis_http_shed_total after a shed")
 	}
-	pw.Close()
-	<-done
 }

@@ -187,6 +187,7 @@ type InExpr struct {
 	List []Expr
 	Sub  *SelectStmt
 	Not  bool
+	plan *Plan // Sub's plan, set on the bound copy only (bind.go)
 }
 
 // BetweenExpr is X [NOT] BETWEEN Lo AND Hi.
@@ -217,13 +218,15 @@ type WhenClause struct {
 
 // SubqueryExpr is a scalar subquery.
 type SubqueryExpr struct {
-	Sub *SelectStmt
+	Sub  *SelectStmt
+	plan *Plan // set on the bound copy only (bind.go)
 }
 
 // ExistsExpr is [NOT] EXISTS (subquery).
 type ExistsExpr struct {
-	Sub *SelectStmt
-	Not bool
+	Sub  *SelectStmt
+	Not  bool
+	plan *Plan // set on the bound copy only (bind.go)
 }
 
 // CastExpr is CAST(x AS TYPE).

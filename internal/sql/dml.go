@@ -33,6 +33,11 @@ func (ex *executor) runInsert(ins *InsertStmt, params []storage.Value) (*Result,
 		if len(exprRow) != len(cols) {
 			return nil, fmt.Errorf("sql: INSERT expects %d values, got %d", len(cols), len(exprRow))
 		}
+		// VALUES admit no column references (a nil scope).
+		exprRow, err := bindExprs(ex.db, exprRow, nil)
+		if err != nil {
+			return nil, err
+		}
 		row := make(storage.Row, len(schema.Columns))
 		for i := range schema.Columns {
 			row[i] = schema.Columns[i].Default
@@ -65,8 +70,18 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		}
 		setPos[i] = pos
 	}
-	bindName := strings.ToLower(upd.Table)
-	bindings := []binding{{name: bindName, cols: lowerCols(schema)}}
+	env, sc := dmlScope(upd.Table, schema)
+	where, err := bindExpr(ex.db, upd.Where, sc)
+	if err != nil {
+		return nil, err
+	}
+	setExprs := make([]Expr, len(upd.Set))
+	for i, a := range upd.Set {
+		if setExprs[i], err = bindExpr(ex.db, a.Value, sc); err != nil {
+			return nil, err
+		}
+	}
+	ec := &evalCtx{params: params, exec: ex, now: ex.now, row: env}
 
 	// Collect targets first (RIDs + current rows), then apply updates.
 	type target struct {
@@ -86,10 +101,9 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		if err := ex.step(); err != nil {
 			return nil, err
 		}
-		ec := &evalCtx{params: params, exec: ex, now: ex.now,
-			row: makeEnv(bindings, joined{tgt.row}, nil)}
-		if upd.Where != nil {
-			ok, err := ec.evalBool(upd.Where)
+		env.tables[0].vals = tgt.row
+		if where != nil {
+			ok, err := ec.evalBool(where)
 			if err != nil {
 				return nil, err
 			}
@@ -98,8 +112,8 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 			}
 		}
 		newRow := tgt.row.Clone()
-		for i, a := range upd.Set {
-			v, err := ec.eval(a.Value)
+		for i, e := range setExprs {
+			v, err := ec.eval(e)
 			if err != nil {
 				return nil, err
 			}
@@ -118,14 +132,17 @@ func (ex *executor) runDelete(del *DeleteStmt, params []storage.Value) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	bindName := strings.ToLower(del.Table)
-	bindings := []binding{{name: bindName, cols: lowerCols(schema)}}
+	env, sc := dmlScope(del.Table, schema)
+	where, err := bindExpr(ex.db, del.Where, sc)
+	if err != nil {
+		return nil, err
+	}
+	ec := &evalCtx{params: params, exec: ex, now: ex.now, row: env}
 	var rids []storage.RID
 	err = ex.tx.Scan(del.Table, func(rid storage.RID, row storage.Row) bool {
-		if del.Where != nil {
-			ec := &evalCtx{params: params, exec: ex, now: ex.now,
-				row: makeEnv(bindings, joined{row}, nil)}
-			ok, err := ec.evalBool(del.Where)
+		if where != nil {
+			env.tables[0].vals = row
+			ok, err := ec.evalBool(where)
 			if err != nil || !ok {
 				return true
 			}
@@ -145,4 +162,11 @@ func (ex *executor) runDelete(del *DeleteStmt, params []storage.Value) (*Result,
 		}
 	}
 	return &Result{Affected: len(rids)}, nil
+}
+
+// dmlScope returns the single-table scope an UPDATE or DELETE binds its
+// expressions in, and the row environment they evaluate against.
+func dmlScope(table string, schema *storage.Schema) (*rowEnv, *scope) {
+	b := binding{name: strings.ToLower(table), cols: lowerCols(schema)}
+	return &rowEnv{tables: []boundTable{{width: len(b.cols)}}}, &scope{bindings: []binding{b}}
 }

@@ -21,62 +21,41 @@ type evalCtx struct {
 	now    time.Time
 }
 
-// rowEnv binds column names (qualified and bare) to values for the row
-// currently being evaluated.
+// rowEnv holds the row currently being evaluated, one boundTable per
+// FROM binding in plan order. Bound column references (colRef) index it
+// directly; outer is the enclosing statement's row for correlated
+// subqueries.
 type rowEnv struct {
-	// bindings are in FROM order; each has a name and its column list.
 	tables []boundTable
-	outer  *rowEnv // enclosing row for correlated subqueries
+	// cur is the batch row that batch-bound tables read. The batch
+	// executor repositions it instead of rebuilding the environment per
+	// row (vexec.go).
+	cur   int
+	outer *rowEnv
 }
 
 type boundTable struct {
-	name string // alias or table name, lower-cased
-	cols []string
-	vals storage.Row // nil for the null-extended side of a LEFT JOIN
+	width int         // column count of the binding
+	vals  storage.Row // nil for the null-extended side of a LEFT JOIN
 	// bcols, when non-nil, binds the table to batch columns instead of
-	// vals: column j of the current row is bcols[j][*cur]. The batch
-	// executor repositions *cur instead of rebuilding the environment
-	// per row (vexec.go).
+	// vals: column j of the current row is bcols[j][cur].
 	bcols [][]storage.Value
-	cur   *int
 }
 
-func (r *rowEnv) lookup(table, column string) (storage.Value, error) {
-	tl, cl := strings.ToLower(table), strings.ToLower(column)
-	var found storage.Value
-	hits := 0
-	for i := range r.tables {
-		bt := &r.tables[i]
-		if tl != "" && bt.name != tl {
-			continue
-		}
-		for j, c := range bt.cols {
-			if c == cl {
-				hits++
-				switch {
-				case bt.bcols != nil:
-					found = bt.bcols[j][*bt.cur]
-				case bt.vals == nil:
-					found = nil
-				default:
-					found = bt.vals[j]
-				}
-			}
-		}
+// column reads the value a bound column reference names.
+func (r *rowEnv) column(c *colRef) storage.Value {
+	for d := c.depth; d > 0; d-- {
+		r = r.outer
 	}
+	bt := &r.tables[c.bind]
 	switch {
-	case hits == 1:
-		return found, nil
-	case hits > 1:
-		return nil, fmt.Errorf("sql: ambiguous column reference %q", column)
+	case bt.bcols != nil:
+		return bt.bcols[c.ord][r.cur]
+	case bt.vals == nil:
+		return nil
+	default:
+		return bt.vals[c.ord]
 	}
-	if r.outer != nil {
-		return r.outer.lookup(table, column)
-	}
-	if table != "" {
-		return nil, fmt.Errorf("sql: unknown column %s.%s", table, column)
-	}
-	return nil, fmt.Errorf("sql: unknown column %q", column)
 }
 
 // eval evaluates an expression to a value (nil = SQL NULL).
@@ -84,11 +63,15 @@ func (ec *evalCtx) eval(e Expr) (storage.Value, error) {
 	switch x := e.(type) {
 	case *Literal:
 		return x.Val, nil
-	case *ColumnRef:
+	case *colRef:
 		if ec.row == nil {
 			return nil, fmt.Errorf("sql: column %q not allowed here", x.String())
 		}
-		return ec.row.lookup(x.Table, x.Column)
+		return ec.row.column(x), nil
+	case *ColumnRef:
+		// Only bound copies are evaluated (bind.go); an unbound reference
+		// sits where no row is in scope.
+		return nil, fmt.Errorf("sql: column %q not allowed here", x.String())
 	case *Param:
 		if x.Index >= len(ec.params) {
 			return nil, fmt.Errorf("sql: missing argument for placeholder %d", x.Index+1)
@@ -122,9 +105,9 @@ func (ec *evalCtx) eval(e Expr) (storage.Value, error) {
 		}
 		return castValue(v, x.To)
 	case *SubqueryExpr:
-		return ec.evalScalarSubquery(x.Sub)
+		return ec.evalScalarSubquery(x.plan)
 	case *ExistsExpr:
-		rows, err := ec.runSubquery(x.Sub, 1)
+		rows, err := ec.runSubquery(x.plan, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -296,7 +279,7 @@ func (ec *evalCtx) evalIn(in *InExpr) (storage.Value, error) {
 	}
 	candidates := make([]storage.Value, 0, len(in.List))
 	if in.Sub != nil {
-		rows, err := ec.runSubquery(in.Sub, 0)
+		rows, err := ec.runSubquery(in.plan, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +369,7 @@ func (ec *evalCtx) evalCase(c *CaseExpr) (storage.Value, error) {
 	return nil, nil
 }
 
-func (ec *evalCtx) evalScalarSubquery(sub *SelectStmt) (storage.Value, error) {
+func (ec *evalCtx) evalScalarSubquery(sub *Plan) (storage.Value, error) {
 	rows, err := ec.runSubquery(sub, 2)
 	if err != nil {
 		return nil, err
@@ -402,13 +385,14 @@ func (ec *evalCtx) evalScalarSubquery(sub *SelectStmt) (storage.Value, error) {
 	return rows[0][0], nil
 }
 
-// runSubquery executes a nested SELECT with the current row visible for
-// correlated references. limit 0 means unbounded.
-func (ec *evalCtx) runSubquery(sub *SelectStmt, limit int) ([]storage.Row, error) {
-	if ec.exec == nil {
+// runSubquery executes a subquery's plan with the current row visible
+// for correlated references. limit 0 means unbounded. A nil plan is a
+// subquery that was never bound: one in a context without an executor.
+func (ec *evalCtx) runSubquery(sub *Plan, limit int) ([]storage.Row, error) {
+	if ec.exec == nil || sub == nil {
 		return nil, fmt.Errorf("sql: subqueries are not allowed in this context")
 	}
-	res, err := ec.exec.runSelect(sub, ec.params, ec.row)
+	res, err := ec.exec.execPlan(sub, ec.params, ec.row)
 	if err != nil {
 		return nil, err
 	}

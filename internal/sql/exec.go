@@ -91,22 +91,24 @@ func (db *DB) Run(ctx context.Context, st *Stmt, args []storage.Value) (*Result,
 }
 
 // RunTx executes a prepared statement inside an existing transaction on
-// db's engine. A cached SELECT runs the plan resolved against that
-// engine's schema epoch.
+// db's engine. A SELECT runs the plan resolved against that engine's
+// schema epoch.
 func (db *DB) RunTx(tx *storage.Tx, st *Stmt, args []storage.Value) (*Result, error) {
-	stmt := st.stmt
-	var plans map[*SelectStmt]*Plan
+	var p *Plan
 	if e := db.entryFor(st); e != nil {
-		p, err := e.resolve(db)
-		if err != nil {
+		var err error
+		if p, err = e.resolve(db); err != nil {
 			return nil, err
 		}
-		stmt = e.sel
-		plans = map[*SelectStmt]*Plan{e.sel: p}
 	}
 	ex := db.newExecutor(tx)
-	ex.plans = plans
-	res, err := ex.run(stmt, args)
+	var res *Result
+	var err error
+	if p != nil {
+		res, err = ex.execPlan(p, args, nil)
+	} else {
+		res, err = ex.run(st.stmt, args)
+	}
 	ex.flush()
 	return res, err
 }
@@ -131,8 +133,6 @@ func (ex *executor) flush() {
 func (ex *executor) run(stmt Statement, params []storage.Value) (*Result, error) {
 	db := ex.db
 	switch s := stmt.(type) {
-	case *SelectStmt:
-		return ex.runSelect(s, params, nil)
 	case *ExplainStmt:
 		return ex.runExplain(s)
 	case *InsertStmt:
@@ -169,11 +169,8 @@ type executor struct {
 	yields int
 	// pool recycles batches across this statement's operators.
 	pool storage.BatchPool
-	// plans memoizes compiled plans per statement node for the duration
-	// of one top-level statement, so a correlated subquery planned once
-	// is reused for every outer row. The top-level entry may be seeded
-	// from the engine-wide plan cache (plancache.go).
-	plans map[*SelectStmt]*Plan
+	// kbuf is scratch space for encoding COUNT(DISTINCT) keys.
+	kbuf []byte
 }
 
 // step is the executor's cooperative-cancellation checkpoint, called once
@@ -187,10 +184,6 @@ func (ex *executor) step() error {
 	ex.yields++
 	return ex.ctx.Err()
 }
-
-// joined is one row of the join pipeline: one storage.Row per bound table
-// (nil = null-extended LEFT side).
-type joined []storage.Row
 
 // binding describes one FROM entry's name and columns.
 type binding struct {
@@ -210,54 +203,10 @@ func lowerCols(s *storage.Schema) []string {
 	return cols
 }
 
-// env builds a rowEnv for one joined row.
-func makeEnv(bindings []binding, row joined, outer *rowEnv) *rowEnv {
-	env := &rowEnv{outer: outer, tables: make([]boundTable, len(bindings))}
-	for i, b := range bindings {
-		var vals storage.Row
-		if i < len(row) {
-			vals = row[i]
-		}
-		// vals stays nil for the synthetic empty-group row of a grouped
-		// query over zero input rows: every column reads as NULL.
-		env.tables[i] = boundTable{name: b.name, cols: b.cols, vals: vals}
-	}
-	return env
-}
-
-// runSelect executes a SELECT through the compiled read path: resolve
-// (or build) the plan, then run it batch-at-a-time. outer supplies
-// bindings for correlated subqueries.
-func (ex *executor) runSelect(sel *SelectStmt, params []storage.Value, outer *rowEnv) (*Result, error) {
-	p, err := ex.planFor(sel)
-	if err != nil {
-		return nil, err
-	}
-	return ex.execPlan(p, params, outer)
-}
-
-// planFor returns the memoized plan for sel, compiling it on first
-// use. The memo lives for one top-level statement, so a correlated
-// subquery re-executed per outer row plans exactly once.
-func (ex *executor) planFor(sel *SelectStmt) (*Plan, error) {
-	if p, ok := ex.plans[sel]; ok {
-		return p, nil
-	}
-	p, err := planSelect(ex.db, sel)
-	if err != nil {
-		return nil, err
-	}
-	if ex.plans == nil {
-		ex.plans = make(map[*SelectStmt]*Plan, 1)
-	}
-	ex.plans[sel] = p
-	return p, nil
-}
-
 // runExplain plans the inner SELECT without executing it and returns
 // the rendered plan tree, one line per row.
 func (ex *executor) runExplain(s *ExplainStmt) (*Result, error) {
-	p, err := ex.planFor(s.Sel)
+	p, err := planSelect(ex.db, s.Sel, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -326,11 +275,11 @@ func (ex *executor) accumulate(st *aggState, node *FuncCall, ec *evalCtx) error 
 		if st.distinct == nil {
 			st.distinct = make(map[string]bool)
 		}
-		k := storage.EncodeKey(v)
-		if st.distinct[k] {
+		ex.kbuf = storage.AppendKey(ex.kbuf[:0], v)
+		if st.distinct[string(ex.kbuf)] {
 			return nil
 		}
-		st.distinct[k] = true
+		st.distinct[string(ex.kbuf)] = true
 	}
 	st.count++
 	switch node.Name {
@@ -385,14 +334,21 @@ func finishAggregate(node *FuncCall, st *aggState) storage.Value {
 	return nil
 }
 
-// collectAggregates appends every aggregate FuncCall in e (not descending
-// into subqueries, which are independently executed).
+// collectAggregates appends every aggregate FuncCall in e that acc does
+// not hold yet (not descending into subqueries, which are independently
+// executed). An ORDER BY key that names an aggregate select item shares
+// its node, so the aggregate is computed once.
 func collectAggregates(e Expr, acc []*FuncCall) []*FuncCall {
 	switch x := e.(type) {
 	case nil:
 		return acc
 	case *FuncCall:
-		if isAggregate(x.Name) || x.Star && isAggregate(x.Name) {
+		if isAggregate(x.Name) {
+			for _, a := range acc {
+				if a == x {
+					return acc
+				}
+			}
 			return append(acc, x)
 		}
 		for _, a := range x.Args {
@@ -427,59 +383,25 @@ func collectAggregates(e Expr, acc []*FuncCall) []*FuncCall {
 	return acc
 }
 
-// resolveRefs rewrites bare column refs matching select aliases and
-// 1-based integer literals into the corresponding select expressions
-// (GROUP BY 1, ORDER BY total).
-func resolveRefs(exprs []Expr, items []SelectItem) ([]Expr, error) {
-	if len(exprs) == 0 {
-		return exprs, nil
-	}
-	out := make([]Expr, len(exprs))
-	for i, e := range exprs {
-		out[i] = e
-		switch x := e.(type) {
-		case *Literal:
-			if n, ok := x.Val.(int64); ok {
-				if n < 1 || int(n) > len(items) {
-					return nil, fmt.Errorf("sql: position %d is not in the select list", n)
-				}
-				if items[n-1].Star {
-					return nil, fmt.Errorf("sql: cannot reference * by position")
-				}
-				out[i] = items[n-1].Expr
-			}
-		case *ColumnRef:
-			if x.Table != "" {
-				continue
-			}
-			for _, item := range items {
-				if item.Alias != "" && strings.EqualFold(item.Alias, x.Column) && !item.Star {
-					out[i] = item.Expr
-					break
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// expandStars replaces * and t.* items with explicit column refs.
-func expandStars(items []SelectItem, bindings []binding) ([]SelectItem, error) {
+// expandStars replaces * and t.* items with column references bound to
+// their binding and ordinal; the other items take their bound
+// expression from selBound.
+func expandStars(items []SelectItem, selBound []Expr, bindings []binding) ([]SelectItem, error) {
 	out := make([]SelectItem, 0, len(items))
-	for _, item := range items {
+	for i, item := range items {
 		if !item.Star {
-			out = append(out, item)
+			out = append(out, SelectItem{Expr: selBound[i], Alias: item.Alias})
 			continue
 		}
 		matched := false
-		for _, b := range bindings {
+		for bi, b := range bindings {
 			if item.Table != "" && !strings.EqualFold(item.Table, b.name) {
 				continue
 			}
 			matched = true
-			for _, c := range b.cols {
+			for j, c := range b.cols {
 				out = append(out, SelectItem{
-					Expr:  &ColumnRef{Table: b.name, Column: c},
+					Expr:  &colRef{ref: &ColumnRef{Table: b.name, Column: c}, bind: bi, ord: j},
 					Alias: c,
 				})
 			}
@@ -501,8 +423,8 @@ func outputColumns(items []SelectItem) []string {
 		case item.Alias != "":
 			cols[i] = item.Alias
 		default:
-			if cr, ok := item.Expr.(*ColumnRef); ok {
-				cols[i] = cr.Column
+			if cr, ok := item.Expr.(*colRef); ok {
+				cols[i] = cr.ref.Column
 			} else {
 				cols[i] = item.Expr.String()
 			}

@@ -67,9 +67,23 @@ func (c *CompiledExpr) Eval(fields map[string]storage.Value) (storage.Value, err
 	for i, n := range names {
 		vals[i] = lower[n]
 	}
-	env := &rowEnv{tables: []boundTable{{name: "", cols: names, vals: vals}}}
+	return c.evalIn(&scope{bindings: []binding{{cols: names}}}, []storage.Row{vals})
+}
+
+// evalIn binds the expression to the field names of sc, whose bindings
+// carry the values rows, and evaluates it. Field sets differ between
+// calls, so binding is per call.
+func (c *CompiledExpr) evalIn(sc *scope, rows []storage.Row) (storage.Value, error) {
+	e, err := bindExpr(nil, c.expr, sc)
+	if err != nil {
+		return nil, err
+	}
+	env := &rowEnv{tables: make([]boundTable, len(rows))}
+	for i, vals := range rows {
+		env.tables[i] = boundTable{width: len(vals), vals: vals}
+	}
 	ec := &evalCtx{row: env, now: time.Now().UTC()}
-	return ec.eval(c.expr)
+	return ec.eval(e)
 }
 
 // EvalBool evaluates the expression as a predicate (NULL → false).
@@ -87,7 +101,8 @@ func (c *CompiledExpr) EvalBool(fields map[string]storage.Value) (bool, error) {
 // resolve across all scopes and must be unambiguous. The rules engine
 // uses this to evaluate conditions over several bound facts.
 func (c *CompiledExpr) EvalScoped(scopes map[string]map[string]storage.Value) (storage.Value, error) {
-	env := &rowEnv{}
+	sc := &scope{}
+	var rows []storage.Row
 	scopeNames := make([]string, 0, len(scopes))
 	for name := range scopes {
 		scopeNames = append(scopeNames, name)
@@ -109,10 +124,10 @@ func (c *CompiledExpr) EvalScoped(scopes map[string]map[string]storage.Value) (s
 				}
 			}
 		}
-		env.tables = append(env.tables, boundTable{name: strings.ToLower(name), cols: cols, vals: vals})
+		sc.bindings = append(sc.bindings, binding{name: strings.ToLower(name), cols: cols})
+		rows = append(rows, vals)
 	}
-	ec := &evalCtx{row: env, now: time.Now().UTC()}
-	return ec.eval(c.expr)
+	return c.evalIn(sc, rows)
 }
 
 // EvalScopedBool is EvalScoped as a predicate (NULL → false).

@@ -68,7 +68,7 @@ func (e *planEntry) resolve(db *DB) (*Plan, error) {
 	if p := e.plan.Load(); p.validAt(epoch) {
 		return p, nil
 	}
-	p, err := planSelect(db, e.sel)
+	p, err := planSelect(db, e.sel, nil)
 	if err != nil {
 		e.plan.Store(nil)
 		return nil, err
@@ -125,9 +125,19 @@ func (c *PlanCache) lookup(ns, text string, epoch uint64) *planEntry {
 	return e
 }
 
-// insert caches sel under (ns, text) and returns its entry — or the
-// entry already there, when another caller got in first.
-func (c *PlanCache) insert(ns, text string, sel *SelectStmt) *planEntry {
+// newPlanEntry returns an entry for sel holding p (nil plans on first
+// resolve).
+func newPlanEntry(sel *SelectStmt, p *Plan) *planEntry {
+	e := &planEntry{sel: sel}
+	if p != nil {
+		e.plan.Store(p)
+	}
+	return e
+}
+
+// insert caches sel with its plan p under (ns, text) and returns its
+// entry — or the entry already there, when another caller got in first.
+func (c *PlanCache) insert(ns, text string, sel *SelectStmt, p *Plan) *planEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := cacheKey{ns: ns, text: text}
@@ -135,7 +145,7 @@ func (c *PlanCache) insert(ns, text string, sel *SelectStmt) *planEntry {
 		c.lru.MoveToFront(el)
 		return el.Value.(*lruItem).e
 	}
-	e := &planEntry{sel: sel}
+	e := newPlanEntry(sel, p)
 	c.entries[k] = c.lru.PushFront(&lruItem{key: k, e: e})
 	if len(c.entries) > c.cap {
 		back := c.lru.Back()
@@ -179,14 +189,17 @@ func (db *DB) planCache() *PlanCache {
 // Stmt is a prepared statement, in the manner of an extended-query
 // Parse: the text is parsed (and rewritten) once and then executed any
 // number of times, with different arguments, through DB.Run or
-// DB.RunTx. A SELECT carries its plan-cache entry, whose plan is
-// revalidated against the schema epoch on every execution. Handles are
-// safe for concurrent use; the statement and plans are immutable.
+// DB.RunTx. A SELECT is planned by Prepare and carries its plan entry —
+// the plan-cache entry, or a private one when caching is off — whose
+// plan is revalidated against the schema epoch on every execution.
+// Handles are safe for concurrent use; the statement and plans are
+// immutable.
 type Stmt struct {
 	ns, text string
 	stmt     Statement
-	eng      *storage.Engine // engine whose plan cache holds e
-	e        *planEntry      // nil unless the statement is a cached SELECT
+	eng      *storage.Engine // engine e was planned on
+	e        *planEntry      // nil unless the statement is a SELECT
+	cached   bool            // e lives in eng's plan cache
 }
 
 // Statement returns the parsed (and rewritten) statement the handle
@@ -199,15 +212,17 @@ func (s *Stmt) Namespace() string { return s.ns }
 // Prepare returns the statement for text in namespace ns ("" for plain
 // DB queries; tenants use their id). It makes one plan-cache lookup and
 // counts it there; on a miss it parses text once, applies rewrite (nil
-// keeps the statement as parsed) and caches the result if it is a
-// SELECT. Writes are never cached or counted. The cache keys statements
-// by (ns, text), so ns must determine the rewrite.
+// keeps the statement as parsed) and, for a SELECT, plans it. A SELECT
+// that fails to plan — an unknown table, an unknown or ambiguous
+// column — fails Prepare and is not cached. Writes are never cached or
+// counted. The cache keys statements by (ns, text), so ns must
+// determine the rewrite.
 func (db *DB) Prepare(ns, text string, rewrite func(Statement) Statement) (*Stmt, error) {
 	var c *PlanCache
 	if planCacheOn.Load() && !db.DisableIndexes {
 		c = db.planCache()
 		if e := c.lookup(ns, text, db.Engine.SchemaEpoch()); e != nil {
-			return &Stmt{ns: ns, text: text, stmt: e.sel, eng: db.Engine, e: e}, nil
+			return &Stmt{ns: ns, text: text, stmt: e.sel, eng: db.Engine, e: e, cached: true}, nil
 		}
 	}
 	stmt, err := Parse(text)
@@ -218,22 +233,39 @@ func (db *DB) Prepare(ns, text string, rewrite func(Statement) Statement) (*Stmt
 		stmt = rewrite(stmt)
 	}
 	st := &Stmt{ns: ns, text: text, stmt: stmt}
-	if sel, ok := stmt.(*SelectStmt); ok && c != nil {
-		c.miss()
-		st.eng, st.e = db.Engine, c.insert(ns, text, sel)
-		st.stmt = st.e.sel
+	sel, ok := stmt.(*SelectStmt)
+	if !ok {
+		return st, nil
 	}
+	if c != nil {
+		c.miss()
+	}
+	p, err := planSelect(db, sel, nil)
+	if err != nil {
+		return nil, err
+	}
+	st.eng = db.Engine
+	if c == nil {
+		st.e = newPlanEntry(sel, p)
+		return st, nil
+	}
+	st.e, st.cached = c.insert(ns, text, sel, p), true
+	st.stmt = st.e.sel
 	return st, nil
 }
 
-// entryFor returns the cache entry st executes on db's engine: its own
+// entryFor returns the plan entry st executes on db's engine: its own
 // when db shares the engine it was prepared on, otherwise the entry for
 // the same (namespace, text) in db's cache — seeded with st's parsed
-// statement, so a replica never re-parses. Runs count nothing; Prepare
-// already did.
+// statement, so a replica never re-parses — or a private one when st
+// was prepared without the cache. Runs count nothing; Prepare already
+// did.
 func (db *DB) entryFor(st *Stmt) *planEntry {
 	if st.e == nil || st.eng == db.Engine {
 		return st.e
 	}
-	return db.planCache().insert(st.ns, st.text, st.e.sel)
+	if !st.cached {
+		return newPlanEntry(st.e.sel, nil)
+	}
+	return db.planCache().insert(st.ns, st.text, st.e.sel, nil)
 }

@@ -59,10 +59,12 @@ type joinStep struct {
 }
 
 // selectPlan is the compiled form of one SELECT core (one UNION arm, or
-// the whole statement when there is no UNION). All name resolution that
-// does not depend on row values — positional GROUP BY/ORDER BY refs,
-// select-alias refs, star expansion, aggregate collection, output
-// column names — happened at plan time.
+// the whole statement when there is no UNION). All name resolution
+// happened at plan time: column references are bound to row positions
+// (bind.go), positional and select-alias GROUP BY/ORDER BY keys point at
+// their select items, stars are expanded, aggregates are collected and
+// output column names fixed. Every expression below is a bound copy
+// owned by the plan.
 type selectPlan struct {
 	bindings []binding
 	colOff   []int // start offset of each binding in the joined row
@@ -109,13 +111,14 @@ func (p *Plan) Columns() []string { return append([]string(nil), p.columns...) }
 func (p *Plan) AccessPath() string { return p.access }
 
 // planSelect compiles a SELECT (possibly a UNION chain) against the
-// current schema. The schema epoch is captured before any schema read
-// so a concurrent DDL can only make the recorded epoch stale — never
-// silently current.
-func planSelect(db *DB, sel *SelectStmt) (*Plan, error) {
+// current schema. outer is the scope of the enclosing statement when sel
+// is a subquery, else nil. The schema epoch is captured before any
+// schema read so a concurrent DDL can only make the recorded epoch
+// stale — never silently current.
+func planSelect(db *DB, sel *SelectStmt, outer *scope) (*Plan, error) {
 	p := &Plan{epoch: db.Engine.SchemaEpoch()}
 	if sel.Union == nil {
-		arm, err := planCore(db, sel)
+		arm, err := planCore(db, sel, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +135,7 @@ func planSelect(db *DB, sel *SelectStmt) (*Plan, error) {
 		core := *node
 		core.Union, core.UnionAll = nil, false
 		core.OrderBy, core.Limit, core.Offset = nil, nil, nil
-		arm, err := planCore(db, &core)
+		arm, err := planCore(db, &core, outer)
 		if err != nil {
 			return nil, err
 		}
@@ -166,20 +169,29 @@ func planSelect(db *DB, sel *SelectStmt) (*Plan, error) {
 			p.orderKeys[i] = pos
 		}
 	}
-	p.limit, p.offset = sel.Limit, sel.Offset
+	var err error
+	if p.limit, p.offset, err = bindLimit(db, sel); err != nil {
+		return nil, err
+	}
 	p.access = "union"
 	return p, nil
 }
 
-// planCore compiles one SELECT core (no UNION).
-func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
-	sp := &selectPlan{
-		where:    sel.Where,
-		having:   sel.Having,
-		distinct: sel.Distinct,
-		limit:    sel.Limit,
-		offset:   sel.Offset,
+// bindLimit binds LIMIT and OFFSET, which admit no column references.
+func bindLimit(db *DB, sel *SelectStmt) (limit, offset Expr, err error) {
+	if limit, err = bindExpr(db, sel.Limit, nil); err != nil {
+		return nil, nil, err
 	}
+	if offset, err = bindExpr(db, sel.Offset, nil); err != nil {
+		return nil, nil, err
+	}
+	return limit, offset, nil
+}
+
+// planCore compiles one SELECT core (no UNION) whose correlated
+// references resolve in outer.
+func planCore(db *DB, sel *SelectStmt, outer *scope) (*selectPlan, error) {
+	sp := &selectPlan{distinct: sel.Distinct}
 
 	if len(sel.From) == 0 {
 		sp.base = scanStep{access: accessConst}
@@ -210,14 +222,25 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 			js := joinStep{
 				scan: scanStep{table: ref.Table, access: accessFull, width: len(schema.Columns)},
 				kind: ref.Join,
-				on:   ref.On,
 			}
+			oldLeft, hash := false, false
 			if ref.Join != JoinCross {
-				if oldE, newE, ok := equiJoinSides(ref.On, sp.bindings, nb); ok {
-					js.hash, js.oldKey, js.newKey = true, oldE, newE
-				}
+				oldLeft, hash = equiJoinSides(ref.On, sp.bindings, nb)
 			}
 			sp.bindings = append(sp.bindings, nb)
+			// ON sees the tables joined so far, the new one included.
+			on, err := bindExpr(db, ref.On, &scope{bindings: sp.bindings, outer: outer})
+			if err != nil {
+				return nil, err
+			}
+			js.on = on
+			if hash {
+				eq := on.(*BinaryExpr)
+				js.hash, js.oldKey, js.newKey = true, eq.Left, eq.Right
+				if !oldLeft {
+					js.oldKey, js.newKey = eq.Right, eq.Left
+				}
+			}
 			sp.joins = append(sp.joins, js)
 		}
 		if sp.base.access == accessFull {
@@ -235,49 +258,109 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 	}
 	sp.width = w
 
-	groupBy, err := resolveRefs(sel.GroupBy, sel.Items)
-	if err != nil {
-		return nil, err
-	}
-	sp.groupBy = groupBy
-	orderExprs := make([]Expr, len(sel.OrderBy))
-	for i, oi := range sel.OrderBy {
-		orderExprs[i] = oi.Expr
-	}
-	orderExprs, err = resolveRefs(orderExprs, sel.Items)
-	if err != nil {
-		return nil, err
-	}
-	sp.orderBy = orderExprs
-	sp.orderDsc = make([]bool, len(sel.OrderBy))
-	for i, oi := range sel.OrderBy {
-		sp.orderDsc[i] = oi.Desc
-	}
-
-	var aggNodes []*FuncCall
-	for _, item := range sel.Items {
-		if !item.Star {
-			aggNodes = collectAggregates(item.Expr, aggNodes)
+	sc := &scope{bindings: sp.bindings, outer: outer}
+	// The select list binds first: positional and alias keys in GROUP
+	// BY and ORDER BY reuse its bound expressions.
+	selBound := make([]Expr, len(sel.Items))
+	for i, item := range sel.Items {
+		if item.Star {
+			continue
 		}
+		e, err := bindExpr(db, item.Expr, sc)
+		if err != nil {
+			return nil, err
+		}
+		selBound[i] = e
 	}
-	aggNodes = collectAggregates(sel.Having, aggNodes)
-	for _, e := range orderExprs {
-		aggNodes = collectAggregates(e, aggNodes)
-	}
-	sp.aggs = aggNodes
-	sp.grouped = len(groupBy) > 0 || len(aggNodes) > 0
-
-	items, err := expandStars(sel.Items, sp.bindings)
+	items, err := expandStars(sel.Items, selBound, sp.bindings)
 	if err != nil {
 		return nil, err
 	}
 	sp.items = items
 	sp.columns = outputColumns(items)
+	if sp.where, err = bindExpr(db, sel.Where, sc); err != nil {
+		return nil, err
+	}
+	if sp.groupBy, err = bindKeys(db, sel.GroupBy, sel.Items, selBound, sc); err != nil {
+		return nil, err
+	}
+	orderExprs := make([]Expr, len(sel.OrderBy))
+	sp.orderDsc = make([]bool, len(sel.OrderBy))
+	for i, oi := range sel.OrderBy {
+		orderExprs[i], sp.orderDsc[i] = oi.Expr, oi.Desc
+	}
+	if sp.orderBy, err = bindKeys(db, orderExprs, sel.Items, selBound, sc); err != nil {
+		return nil, err
+	}
 
-	if sel.Having != nil && !sp.grouped {
+	var aggNodes []*FuncCall
+	for _, item := range items {
+		aggNodes = collectAggregates(item.Expr, aggNodes)
+	}
+	for _, e := range sp.orderBy {
+		aggNodes = collectAggregates(e, aggNodes)
+	}
+	if sel.Having != nil && len(sp.groupBy) == 0 && len(aggNodes) == 0 && collectAggregates(sel.Having, nil) == nil {
 		return nil, fmt.Errorf("sql: HAVING requires GROUP BY or aggregates")
 	}
+	if sp.having, err = bindExpr(db, sel.Having, sc); err != nil {
+		return nil, err
+	}
+	sp.aggs = collectAggregates(sp.having, aggNodes)
+	sp.grouped = len(sp.groupBy) > 0 || len(sp.aggs) > 0
+	if sp.limit, sp.offset, err = bindLimit(db, sel); err != nil {
+		return nil, err
+	}
 	return sp, nil
+}
+
+// bindKeys binds GROUP BY or ORDER BY keys. A 1-based integer literal
+// or a bare name matching a select alias stands for that select item
+// and reuses its bound expression (GROUP BY 1, ORDER BY total); any
+// other key binds in sc.
+func bindKeys(db *DB, keys []Expr, items []SelectItem, selBound []Expr, sc *scope) ([]Expr, error) {
+	out := make([]Expr, len(keys))
+	for i, e := range keys {
+		k, err := selectItemRef(e, items)
+		if err != nil {
+			return nil, err
+		}
+		if k >= 0 {
+			out[i] = selBound[k]
+			continue
+		}
+		if out[i], err = bindExpr(db, e, sc); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// selectItemRef reports which select item a GROUP BY or ORDER BY key
+// names by position or alias, or -1 when it names none.
+func selectItemRef(e Expr, items []SelectItem) (int, error) {
+	switch x := e.(type) {
+	case *Literal:
+		if n, ok := x.Val.(int64); ok {
+			if n < 1 || int(n) > len(items) {
+				return -1, fmt.Errorf("sql: position %d is not in the select list", n)
+			}
+			if items[n-1].Star {
+				return -1, fmt.Errorf("sql: cannot reference * by position")
+			}
+			return int(n - 1), nil
+		}
+	case *ColumnRef:
+		if x.Table != "" {
+			break
+		}
+		for i, item := range items {
+			if item.Alias != "" && !item.Star && strings.EqualFold(item.Alias, x.Column) {
+				return i, nil
+			}
+		}
+	}
+	return -1, nil
 }
 
 // planScan picks the access path for the first FROM table from the
@@ -456,13 +539,13 @@ func hasColumnRef(e Expr) bool {
 	}
 }
 
-// equiJoinSides reports whether on is `X = Y` with X referencing only old
-// bindings and Y only the new one (in some order). It returns the
-// old-side and new-side expressions.
-func equiJoinSides(on Expr, oldBindings []binding, newB binding) (oldSide, newSide Expr, ok bool) {
+// equiJoinSides reports whether on is `X = Y` with one side referencing
+// only old bindings and the other only the new one. oldLeft tells
+// whether the old side is the left operand.
+func equiJoinSides(on Expr, oldBindings []binding, newB binding) (oldLeft, ok bool) {
 	b, isBin := on.(*BinaryExpr)
 	if !isBin || b.Op != "=" {
-		return nil, nil, false
+		return false, false
 	}
 	oldNames := map[string]bool{}
 	oldCols := map[string]int{}
@@ -530,15 +613,15 @@ func equiJoinSides(on Expr, oldBindings []binding, newB binding) (oldSide, newSi
 	lOld, lNew, lValid := side(b.Left)
 	rOld, rNew, rValid := side(b.Right)
 	if !lValid || !rValid {
-		return nil, nil, false
+		return false, false
 	}
 	switch {
 	case lOld && rNew:
-		return b.Left, b.Right, true
+		return true, true
 	case lNew && rOld:
-		return b.Right, b.Left, true
+		return false, true
 	}
-	return nil, nil, false
+	return false, false
 }
 
 // --- EXPLAIN rendering ---

@@ -21,13 +21,12 @@ import (
 const execBatchRows = 256
 
 // rowView adapts the batch world to the expression evaluator: it owns
-// one rowEnv whose bindings point either at batch columns (with a
-// shared row cursor) or at a row-major storage.Row, plus one evalCtx.
+// one rowEnv whose bindings point either at batch columns (read at the
+// env's row cursor) or at a row-major storage.Row, plus one evalCtx.
 // Operators reposition the view instead of allocating envs per row.
 type rowView struct {
 	env    rowEnv
 	ec     evalCtx
-	cur    int
 	colOff []int
 }
 
@@ -36,18 +35,18 @@ func (ex *executor) newRowView(bindings []binding, colOff []int, outer *rowEnv, 
 	v.env.outer = outer
 	v.env.tables = make([]boundTable, len(bindings))
 	for i, b := range bindings {
-		v.env.tables[i] = boundTable{name: b.name, cols: b.cols, cur: &v.cur}
+		v.env.tables[i].width = len(b.cols)
 	}
 	v.ec = evalCtx{row: &v.env, params: params, exec: ex, now: ex.now}
 	return v
 }
 
 // bindBatch points the first n bindings at b's columns (laid out at
-// colOff). The view then reads row v.cur of the batch.
+// colOff). The view then reads row v.env.cur of the batch.
 func (v *rowView) bindBatch(b *storage.Batch, n int) {
 	for i := 0; i < n; i++ {
 		bt := &v.env.tables[i]
-		bt.bcols = b.Cols[v.colOff[i] : v.colOff[i]+len(bt.cols)]
+		bt.bcols = b.Cols[v.colOff[i] : v.colOff[i]+bt.width]
 		bt.vals = nil
 	}
 }
@@ -69,7 +68,7 @@ func (v *rowView) bindFlat(row storage.Row) {
 			continue
 		}
 		off := v.colOff[i]
-		v.setRow(i, row[off:off+len(v.env.tables[i].cols)])
+		v.setRow(i, row[off:off+v.env.tables[i].width])
 	}
 }
 
@@ -240,6 +239,7 @@ type joinCursor struct {
 	out    *storage.Batch
 	rights []storage.Row
 	table  map[string][]int // hash mode: EncodeKey(newKey) -> rights indexes
+	kbuf   []byte           // hash mode: probe key scratch
 
 	lview  *rowView // left-prefix view (hash probe key)
 	onview *rowView // full view incl. the new table (nested ON)
@@ -260,12 +260,14 @@ func (c *joinCursor) open() error {
 	if c.js.hash {
 		c.lview = c.ex.newRowView(c.sp.bindings[:c.lidx], c.sp.colOff[:c.lidx], c.outer, c.params)
 		c.table = make(map[string][]int, len(c.rights))
-		rview := c.ex.newRowView(c.sp.bindings[c.lidx:c.lidx+1], []int{0}, nil, c.params)
+		// newKey references the new table only; its bindings sit at
+		// their plan positions, so the view spans the prefix.
+		rview := c.ex.newRowView(c.sp.bindings[:c.lidx+1], c.sp.colOff[:c.lidx+1], nil, c.params)
 		for i, rr := range c.rights {
 			if err := c.ex.step(); err != nil {
 				return err
 			}
-			rview.setRow(0, rr)
+			rview.setRow(c.lidx, rr)
 			kv, err := rview.ec.eval(c.js.newKey)
 			if err != nil {
 				return err
@@ -273,8 +275,8 @@ func (c *joinCursor) open() error {
 			if kv == nil {
 				continue // NULL keys never join
 			}
-			k := storage.EncodeKey(kv)
-			c.table[k] = append(c.table[k], i)
+			c.kbuf = storage.AppendKey(c.kbuf[:0], kv)
+			c.table[string(c.kbuf)] = append(c.table[string(c.kbuf)], i)
 		}
 	} else {
 		c.onview = c.ex.newRowView(c.sp.bindings[:c.lidx+1], c.sp.colOff[:c.lidx+1], c.outer, c.params)
@@ -318,14 +320,15 @@ func (c *joinCursor) next() (*storage.Batch, error) {
 			if err := c.ex.step(); err != nil {
 				return nil, err
 			}
-			c.lview.cur = r
+			c.lview.env.cur = r
 			kv, err := c.lview.ec.eval(c.js.oldKey)
 			if err != nil {
 				return nil, err
 			}
 			matched := false
 			if kv != nil {
-				for _, ri := range c.table[storage.EncodeKey(kv)] {
+				c.kbuf = storage.AppendKey(c.kbuf[:0], kv)
+				for _, ri := range c.table[string(c.kbuf)] {
 					c.emit(r, c.rights[ri])
 					matched = true
 				}
@@ -336,7 +339,7 @@ func (c *joinCursor) next() (*storage.Batch, error) {
 			continue
 		}
 		// Nested loop (and CROSS, whose nil ON matches every pair).
-		c.onview.cur = r
+		c.onview.env.cur = r
 		matched := false
 		for _, rr := range c.rights {
 			if err := c.ex.step(); err != nil {
@@ -411,7 +414,7 @@ func (c *filterCursor) next() (*storage.Batch, error) {
 			if err := c.ex.step(); err != nil {
 				return nil, err
 			}
-			c.view.cur = r
+			c.view.env.cur = r
 			ok, err := c.view.ec.evalBool(c.where)
 			if err != nil {
 				return nil, err
@@ -479,6 +482,7 @@ func (ex *executor) execPlan(p *Plan, params []storage.Value, outer *rowEnv) (*R
 		return nil, err
 	}
 	acc := first.Rows
+	self := func(row storage.Row) storage.Row { return row }
 	for i := 1; i < len(p.arms); i++ {
 		right, err := ex.execCore(p.arms[i], params, outer)
 		if err != nil {
@@ -486,16 +490,7 @@ func (ex *executor) execPlan(p *Plan, params []storage.Value, outer *rowEnv) (*R
 		}
 		acc = append(acc, right.Rows...)
 		if !p.unionAll[i-1] {
-			seen := make(map[string]bool, len(acc))
-			dedup := acc[:0]
-			for _, row := range acc {
-				k := storage.EncodeKey(row...)
-				if !seen[k] {
-					seen[k] = true
-					dedup = append(dedup, row)
-				}
-			}
-			acc = dedup
+			acc = dedupRows(acc, self)
 		}
 	}
 	if len(p.orderKeys) > 0 {
@@ -593,7 +588,7 @@ func (ex *executor) execCore(sp *selectPlan, params []storage.Value, outer *rowE
 				if err := ex.step(); err != nil {
 					return nil, err
 				}
-				view.cur = r
+				view.env.cur = r
 				if err := project(&view.ec); err != nil {
 					return nil, err
 				}
@@ -601,18 +596,8 @@ func (ex *executor) execCore(sp *selectPlan, params []storage.Value, outer *rowE
 		}
 	}
 
-	// DISTINCT.
 	if sp.distinct {
-		seen := make(map[string]bool, len(outs))
-		dedup := outs[:0]
-		for _, o := range outs {
-			k := storage.EncodeKey(o.vals...)
-			if !seen[k] {
-				seen[k] = true
-				dedup = append(dedup, o)
-			}
-		}
-		outs = dedup
+		outs = dedupRows(outs, func(o outRow) storage.Row { return o.vals })
 	}
 
 	// ORDER BY. Sorting is not interruptible mid-comparison, so the
@@ -672,11 +657,16 @@ type vgroup struct {
 func (ex *executor) groupBatches(cur cursor, sp *selectPlan, view *rowView) ([]*vgroup, error) {
 	type bucket struct {
 		g      *vgroup
-		states []*aggState
+		states []aggState
 	}
-	order := make([]string, 0, 16)
+	newBucket := func(rep storage.Row) *bucket {
+		return &bucket{g: &vgroup{rep: rep}, states: make([]aggState, len(sp.aggs))}
+	}
+	order := make([]*bucket, 0, 16)
 	buckets := map[string]*bucket{}
-	keyVals := make(storage.Row, len(sp.groupBy))
+	// key is the reused group-key buffer: a probe for an existing group
+	// converts it without allocating, only a new group copies it.
+	var key []byte
 
 	for {
 		b, err := cur.next()
@@ -691,32 +681,23 @@ func (ex *executor) groupBatches(cur cursor, sp *selectPlan, view *rowView) ([]*
 			if err := ex.step(); err != nil {
 				return nil, err
 			}
-			view.cur = r
-			for i, ge := range sp.groupBy {
+			view.env.cur = r
+			key = key[:0]
+			for _, ge := range sp.groupBy {
 				v, err := view.ec.eval(ge)
 				if err != nil {
 					return nil, err
 				}
-				keyVals[i] = v
+				key = storage.AppendKey(key, v)
 			}
-			key := ""
-			if len(sp.groupBy) > 0 {
-				key = storage.EncodeKey(keyVals...)
-			}
-			bk, ok := buckets[key]
+			bk, ok := buckets[string(key)]
 			if !ok {
-				bk = &bucket{
-					g:      &vgroup{rep: flattenRow(b, r, sp.width)},
-					states: make([]*aggState, len(sp.aggs)),
-				}
-				for i := range bk.states {
-					bk.states[i] = &aggState{}
-				}
-				buckets[key] = bk
-				order = append(order, key)
+				bk = newBucket(flattenRow(b, r, sp.width))
+				buckets[string(key)] = bk
+				order = append(order, bk)
 			}
 			for i, node := range sp.aggs {
-				if err := ex.accumulate(bk.states[i], node, &view.ec); err != nil {
+				if err := ex.accumulate(&bk.states[i], node, &view.ec); err != nil {
 					return nil, err
 				}
 			}
@@ -725,24 +706,35 @@ func (ex *executor) groupBatches(cur cursor, sp *selectPlan, view *rowView) ([]*
 
 	// With no GROUP BY, aggregates over zero rows still yield one group.
 	if len(sp.groupBy) == 0 && len(order) == 0 {
-		bk := &bucket{g: &vgroup{}, states: make([]*aggState, len(sp.aggs))}
-		for i := range bk.states {
-			bk.states[i] = &aggState{}
-		}
-		buckets[""] = bk
-		order = append(order, "")
+		order = append(order, newBucket(nil))
 	}
 
-	groups := make([]*vgroup, 0, len(order))
-	for _, key := range order {
-		bk := buckets[key]
+	groups := make([]*vgroup, len(order))
+	for gi, bk := range order {
 		bk.g.aggs = make(map[*FuncCall]storage.Value, len(sp.aggs))
 		for i, node := range sp.aggs {
-			bk.g.aggs[node] = finishAggregate(node, bk.states[i])
+			bk.g.aggs[node] = finishAggregate(node, &bk.states[i])
 		}
-		groups = append(groups, bk.g)
+		groups[gi] = bk.g
 	}
 	return groups, nil
+}
+
+// dedupRows keeps the first of each run of items whose key rows encode
+// equally (DISTINCT, UNION), compacting items in place.
+func dedupRows[T any](items []T, keyOf func(T) storage.Row) []T {
+	seen := make(map[string]bool, len(items))
+	var key []byte
+	out := items[:0]
+	for _, it := range items {
+		key = storage.AppendKey(key[:0], keyOf(it)...)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		out = append(out, it)
+	}
+	return out
 }
 
 // flattenRow copies row r of b into a fresh row-major Row.

@@ -102,19 +102,26 @@ func (p *BatchPool) Put(b *Batch) {
 }
 
 // BatchScanner streams the visible rows of one table in insertion
-// order, batch-at-a-time. Like Scan it iterates the snapshot taken at
-// creation, holds no locks between Next calls, and pays the
-// cooperative-cancellation checkpoint every ctxCheckEvery rows.
+// order, batch-at-a-time. It pins the table and its version count when
+// created; each Next takes the table read lock, checks visibility and
+// copies the visible rows straight into the batch columns, so a full
+// scan allocates nothing per row. Rows appended after creation are not
+// seen (they belong to later transactions, or to this one's later
+// writes); rows this transaction deletes after creation are skipped.
+//
+// Holding positions across Next calls is safe because vacuum, the only
+// operation that moves versions, runs only while no transaction is
+// active, and the scanner's transaction stays active until it finishes.
+// Next on a finished transaction returns ErrTxDone.
 type BatchScanner struct {
-	tx      *Tx
-	width   int
-	matches []match
-	pos     int
+	tx    *Tx
+	t     *table
+	width int
+	end   int // version count pinned at creation
+	pos   int
 }
 
-// NewBatchScanner starts a batched scan of tableName. The visible row
-// set is pinned when the scanner is created (same snapshot rule as
-// Scan).
+// NewBatchScanner starts a batched scan of tableName.
 func (tx *Tx) NewBatchScanner(tableName string) (*BatchScanner, error) {
 	if err := tx.check(); err != nil {
 		return nil, err
@@ -124,15 +131,10 @@ func (tx *Tx) NewBatchScanner(tableName string) (*BatchScanner, error) {
 		return nil, err
 	}
 	tx.e.statsReads.Add(1)
-	matches := tx.collectVisible(t, func() []rowID {
-		//odbis:ignore staticrace -- pick runs inside collectVisible under t.mu.RLock
-		ids := make([]rowID, len(t.versions))
-		for i := range ids {
-			ids[i] = rowID(i)
-		}
-		return ids
-	})
-	return &BatchScanner{tx: tx, width: len(t.schema.Columns), matches: matches}, nil
+	t.mu.RLock()
+	end := len(t.versions)
+	t.mu.RUnlock()
+	return &BatchScanner{tx: tx, t: t, width: len(t.schema.Columns), end: end}, nil
 }
 
 // Width returns the column count of the scanned table.
@@ -143,17 +145,24 @@ func (s *BatchScanner) Width() int { return s.width }
 // The values in b are shared with the storage layer and must not be
 // mutated.
 func (s *BatchScanner) Next(b *Batch, max int) (int, error) {
+	if err := s.tx.check(); err != nil {
+		return 0, err
+	}
 	b.Reset(s.width)
-	n := 0
-	for n < max && s.pos < len(s.matches) {
-		if err := s.tx.stepCtx(s.pos); err != nil {
+	t, tx := s.t, s.tx
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for b.n < max && s.pos < s.end {
+		if err := tx.stepCtx(s.pos); err != nil {
 			return 0, err
 		}
-		b.PushRow(s.matches[s.pos].row)
+		v := &t.versions[s.pos]
 		s.pos++
-		n++
+		if tx.e.visible(v, tx.snap, tx.id) {
+			b.PushRow(v.row)
+		}
 	}
-	return n, nil
+	return b.n, nil
 }
 
 // ScanBatches visits every visible row of the table through a reused

@@ -61,14 +61,6 @@ type rowID uint32
 // restarts and checkpoints and are how callers address updates/deletes.
 type RID uint64
 
-type txStatus uint8
-
-const (
-	txActive txStatus = iota
-	txCommitted
-	txAborted
-)
-
 // version is one MVCC version of a row.
 type version struct {
 	rid  RID
@@ -76,6 +68,11 @@ type version struct {
 	xmin uint64 // creating transaction; 0 means frozen (always committed)
 	xmax uint64 // deleting transaction; 0 means live
 }
+
+// xidAborted is the xmin of a version whose inserting transaction
+// aborted (see abortTx). It is never below a snapshot's xmax and no
+// transaction carries it, so no reader sees such a version.
+const xidAborted = ^uint64(0)
 
 // IndexKind selects the index structure.
 type IndexKind uint8
@@ -146,11 +143,12 @@ func (ix *index) lookup(key string) []rowID {
 }
 
 func (ix *index) keyFor(row Row) string {
-	vals := make([]Value, len(ix.cols))
-	for i, c := range ix.cols {
-		vals[i] = row[c]
+	var buf [64]byte
+	key := buf[:0]
+	for _, c := range ix.cols {
+		key = AppendKey(key, row[c])
 	}
-	return EncodeKey(vals...)
+	return string(key)
 }
 
 // table holds the versions and indexes of one relation.
@@ -184,14 +182,10 @@ type Engine struct {
 	// SetRowQuota.
 	quotas map[string]*rowQuota
 
-	txMu     sync.Mutex // guards txActive and txAborted
+	txMu     sync.Mutex // guards txActive
 	txActive map[uint64]bool
-	// txAborted retains aborted transaction ids until vacuum rewrites
-	// the row versions that reference them; committed ids need no entry
-	// (statusOf treats unknown ids as committed).
-	txAborted map[uint64]bool
-	nextTxID  atomic.Uint64
-	nextRID   atomic.Uint64
+	nextTxID atomic.Uint64
+	nextRID  atomic.Uint64
 
 	seqMu sync.Mutex
 	//odbis:guardedby seqMu -- snapshot load also writes it, single-threaded in Open before the engine is published
@@ -251,11 +245,10 @@ func (e *Engine) Attachment(key any, mk func() any) any {
 // WAL replayed.
 func Open(opts Options) (*Engine, error) {
 	e := &Engine{
-		opts:      opts,
-		tables:    make(map[string]*table),
-		txActive:  make(map[uint64]bool),
-		txAborted: make(map[uint64]bool),
-		seqs:      make(map[string]int64),
+		opts:     opts,
+		tables:   make(map[string]*table),
+		txActive: make(map[uint64]bool),
+		seqs:     make(map[string]int64),
 	}
 	e.nextTxID.Store(1)
 	e.nextRID.Store(1)
@@ -647,40 +640,28 @@ func (e *Engine) takeSnapshotTxLocked() snapshot {
 	return s
 }
 
-// takeSnapshotLocked is takeSnapshot for callers already holding e.mu.
-func (e *Engine) takeSnapshotLocked() snapshot { return e.takeSnapshot() }
-
-func (e *Engine) statusOf(txid uint64) txStatus {
-	if txid == 0 {
-		return txCommitted
-	}
+// inFlight reports whether transaction txid is still active. Write
+// paths use it for the states a snapshot cannot answer; readers never
+// need it.
+func (e *Engine) inFlight(txid uint64) bool {
 	e.txMu.Lock()
 	defer e.txMu.Unlock()
-	switch {
-	case e.txActive[txid]:
-		return txActive
-	case e.txAborted[txid]:
-		return txAborted
-	default:
-		// Committed transactions carry no entry.
-		return txCommitted
-	}
+	return e.txActive[txid]
 }
 
 // committedBefore reports whether txid committed before the snapshot was
-// taken.
+// taken. It takes no lock. An id below xmax that the snapshot did not
+// record as active had finished when the snapshot was taken, and an
+// aborting transaction rewrites its own versions before its id leaves
+// the active set (abortTx), so a version that still names a finished id
+// names a committed one.
 func (e *Engine) committedBefore(txid uint64, s snapshot) bool {
-	if txid == 0 {
-		return true
-	}
-	if txid >= s.xmax || s.active[txid] {
-		return false
-	}
-	return e.statusOf(txid) == txCommitted
+	return txid == 0 || txid < s.xmax && !s.active[txid]
 }
 
 // visible reports whether version v is visible under snapshot s to the
-// transaction with id self (0 for a read-only observer).
+// transaction with id self (0 for a read-only observer). Callers hold
+// the table's lock, read or write; visible itself takes none.
 func (e *Engine) visible(v *version, s snapshot, self uint64) bool {
 	switch {
 	case v.xmin == self && self != 0:

@@ -178,7 +178,7 @@ type tableDelta struct {
 // group below its true size. Ops with a nil table (replicated ops that
 // bootstrap overlap skipped) count for nothing. Tables that accumulated
 // many dead versions get an opportunistic vacuum.
-func (e *Engine) settle(ops []txOp, resv []reservation, outcome txStatus) {
+func (e *Engine) settle(ops []txOp, resv []reservation, committed bool) {
 	if len(ops) == 0 {
 		return
 	}
@@ -197,9 +197,9 @@ func (e *Engine) settle(ops []txOp, resv []reservation, outcome txStatus) {
 		}
 		d := &deltas[i]
 		switch {
-		case outcome == txCommitted && op.kind == opInsert:
+		case committed && op.kind == opInsert:
 			d.live++
-		case outcome == txCommitted:
+		case committed:
 			d.live--
 			d.dead++
 		case op.kind == opInsert:

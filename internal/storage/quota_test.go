@@ -254,36 +254,53 @@ func TestRowQuotaDropWithOpenReservation(t *testing.T) {
 	}
 }
 
-func abortedIDs(e *Engine) int {
-	e.txMu.Lock()
-	defer e.txMu.Unlock()
-	return len(e.txAborted)
+// versionOf returns a copy of the version slot holding rid.
+func versionOf(t *testing.T, e *Engine, table string, rid RID) version {
+	t.Helper()
+	tbl, err := e.getTable(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.mu.RLock()
+	defer tbl.mu.RUnlock()
+	slot, ok := tbl.byRID[rid]
+	if !ok {
+		t.Fatalf("rid %d has no version slot", rid)
+	}
+	return tbl.versions[slot]
 }
 
-// TestReadOnlyTxLeavesNoAbortedID: a transaction that wrote nothing
-// retires its id like a commit, so read-heavy traffic does not grow the
-// aborted set; an aborted write keeps its id resolvable until vacuum.
+// TestReadOnlyTxLeavesNoAbortedID: no transaction id outlives its
+// transaction. A rollback undoes its own versions before its id leaves
+// the active set (an insert gets xmin = xidAborted, a delete gets its
+// xmax cleared), so nothing ever needs to remember that the id aborted,
+// and vacuum reclaims the dead insert.
 func TestReadOnlyTxLeavesNoAbortedID(t *testing.T) {
 	e := newTestEngine(t)
-	mustInsert(t, e, "users", Row{int64(1), "ann", int64(30), true})
-	before := abortedIDs(e)
+	keep := mustInsert(t, e, "users", Row{int64(1), "ann", int64(30), true})[0]
 	for i := 0; i < 100; i++ {
 		if err := e.View(func(tx *Tx) error { _, err := tx.Count("users"); return err }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := abortedIDs(e); got != before {
-		t.Fatalf("aborted set grew from %d to %d over 100 views", before, got)
-	}
 
 	tx := e.Begin()
-	if _, err := tx.Insert("users", Row{int64(2), "bob", int64(40), true}); err != nil {
+	rid, err := tx.Insert("users", Row{int64(2), "bob", int64(40), true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	id := tx.ID()
+	if err := tx.DeleteRID("users", keep); err != nil {
+		t.Fatal(err)
+	}
 	tx.Rollback()
-	if st := e.statusOf(id); st != txAborted {
-		t.Fatalf("rolled-back writer status = %d, want aborted", st)
+	if e.inFlight(tx.ID()) {
+		t.Fatal("rolled-back writer still active")
+	}
+	if v := versionOf(t, e, "users", rid); v.xmin != xidAborted {
+		t.Fatalf("rolled-back insert xmin = %d, want xidAborted", v.xmin)
+	}
+	if v := versionOf(t, e, "users", keep); v.xmax != 0 {
+		t.Fatalf("rolled-back delete left xmax = %d, want 0", v.xmax)
 	}
 	if got := countRows(t, e, "users"); got != 1 {
 		t.Fatalf("rolled-back insert visible: %d rows", got)
@@ -291,11 +308,15 @@ func TestReadOnlyTxLeavesNoAbortedID(t *testing.T) {
 	if !e.Vacuum() {
 		t.Fatal("vacuum refused on a quiescent engine")
 	}
-	if got := abortedIDs(e); got != 0 {
-		t.Fatalf("aborted set after vacuum = %d, want 0", got)
-	}
 	if got := countRows(t, e, "users"); got != 1 {
 		t.Fatalf("after vacuum: %d rows, want 1", got)
+	}
+	tbl, _ := e.getTable("users")
+	tbl.mu.RLock()
+	slots := len(tbl.versions)
+	tbl.mu.RUnlock()
+	if slots != 1 {
+		t.Fatalf("after vacuum: %d version slots, want 1", slots)
 	}
 }
 

@@ -199,8 +199,8 @@ func (e *Engine) applyReplicatedTx(ops []txOp) error {
 			maxRID = uint64(op.rid)
 		}
 	}
-	e.finishTx(local, txCommitted)
-	e.settle(ops, nil, txCommitted)
+	e.finishTx(local)
+	e.settle(ops, nil, true)
 	// Keep the local RID horizon past every replicated rid so local
 	// allocations (none today, but Attachment users may mint rids) never
 	// collide with future frames.
@@ -213,13 +213,12 @@ func (e *Engine) applyReplicatedTx(ops []txOp) error {
 	return nil
 }
 
-// abortReplicatedTx parks a partially applied frame under an aborted
-// transaction id: the partial writes stay in the heap but are invisible
-// to every present and future reader, and vacuum reclaims them. The
-// replica is expected to re-bootstrap.
+// abortReplicatedTx undoes a partially applied frame like a rolled-back
+// transaction: the partial writes stay in the heap but are invisible to
+// every present and future reader, and vacuum reclaims them. The replica
+// is expected to re-bootstrap.
 func (e *Engine) abortReplicatedTx(local uint64, partial []txOp) {
-	e.finishTx(local, txAborted)
-	e.settle(partial, nil, txAborted)
+	e.abortTx(local, partial, nil)
 }
 
 // applyReplicatedOp applies one op and returns the table it changed, or

@@ -45,9 +45,6 @@ func (e *Engine) Checkpoint() error {
 		for _, t := range e.tables {
 			e.vacuumTable(t, snap)
 		}
-		e.txMu.Lock()
-		e.txAborted = make(map[uint64]bool)
-		e.txMu.Unlock()
 	}
 
 	// The checkpoint protocol, in crash-survivable order:
@@ -106,9 +103,6 @@ func (e *Engine) Vacuum() bool {
 	for _, t := range e.tables {
 		e.vacuumTable(t, snap)
 	}
-	e.txMu.Lock()
-	e.txAborted = make(map[uint64]bool)
-	e.txMu.Unlock()
 	return true
 }
 
@@ -220,7 +214,7 @@ func (e *Engine) DumpState(w io.Writer) error {
 	if e.closed {
 		return ErrClosed
 	}
-	return e.encodeState(w, e.takeSnapshotLocked(), e.epoch, nil)
+	return e.encodeState(w, e.takeSnapshot(), e.epoch, nil)
 }
 
 // encodeState writes the full committed state in the snapshot format,
@@ -323,10 +317,9 @@ func (e *Engine) loadSnapshot(path string) error {
 // verified like an on-disk snapshot's.
 func OpenFromDump(raw []byte) (*Engine, error) {
 	e := &Engine{
-		tables:    make(map[string]*table),
-		txActive:  make(map[uint64]bool),
-		txAborted: make(map[uint64]bool),
-		seqs:      make(map[string]int64),
+		tables:   make(map[string]*table),
+		txActive: make(map[uint64]bool),
+		seqs:     make(map[string]int64),
 	}
 	e.nextTxID.Store(1)
 	e.nextRID.Store(1)

@@ -181,8 +181,7 @@ func (tx *Tx) Insert(tableName string, row Row) (RID, error) {
 // it is not yet deleted by any committed or in-flight transaction, and its
 // creator is committed, in flight, or us.
 func (tx *Tx) aliveForUnique(v *version) bool {
-	e := tx.e
-	if v.xmin != 0 && v.xmin != tx.id && e.statusOf(v.xmin) == txAborted {
+	if v.xmin == xidAborted {
 		return false
 	}
 	if v.xmax == 0 {
@@ -191,10 +190,10 @@ func (tx *Tx) aliveForUnique(v *version) bool {
 	if v.xmax == tx.id {
 		return false // we deleted it ourselves
 	}
-	st := e.statusOf(v.xmax)
 	// Deleted by a committed tx: dead. Deleted by an active tx: still
-	// blocking (the delete may abort). Aborted delete: alive.
-	return st != txCommitted
+	// blocking (the delete may abort). An aborted delete has already
+	// cleared xmax (abortTx), so it took the branch above.
+	return tx.e.inFlight(v.xmax)
 }
 
 func describeKey(ix *index, row Row) []Value {
@@ -247,14 +246,9 @@ func (tx *Tx) deleteLocked(t *table, rid RID) error {
 		return fmt.Errorf("%w: rid %d in %s", ErrRowNotVisible, rid, t.schema.Name)
 	}
 	if v.xmax != 0 && v.xmax != tx.id {
-		switch tx.e.statusOf(v.xmax) {
-		case txAborted:
-			// The previous deleter aborted; we may take over the slot.
-		default:
-			// Active or committed-after-our-snapshot deleter: first
-			// updater wins.
-			return fmt.Errorf("%w: rid %d in %s", ErrConflict, rid, t.schema.Name)
-		}
+		// An active or committed-after-our-snapshot deleter: first
+		// updater wins. An aborted deleter has already cleared xmax.
+		return fmt.Errorf("%w: rid %d in %s", ErrConflict, rid, t.schema.Name)
 	}
 	v.xmax = tx.id
 	tx.unreserve(t)
@@ -304,19 +298,28 @@ type match struct {
 	row Row
 }
 
-// collectVisible gathers the transaction-visible rows selected by pick
-// while holding the table read lock. Callbacks then run unlocked, so scan
-// bodies may freely mutate the same table (scan-and-delete patterns).
+// collectVisible gathers the transaction-visible rows among the slots
+// pick selects, or among every slot when pick is nil, while holding the
+// table read lock. Callbacks then run unlocked, so scan bodies may
+// freely mutate the same table (scan-and-delete patterns).
 func (tx *Tx) collectVisible(t *table, pick func() []rowID) []match {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := pick()
-	out := make([]match, 0, len(ids))
-	for _, id := range ids {
-		v := &t.versions[id]
+	var out []match
+	keep := func(v *version) {
 		if tx.e.visible(v, tx.snap, tx.id) {
 			out = append(out, match{rid: v.rid, row: v.row})
 		}
+	}
+	if pick == nil {
+		out = make([]match, 0, t.live)
+		for i := range t.versions {
+			keep(&t.versions[i])
+		}
+		return out
+	}
+	for _, id := range pick() {
+		keep(&t.versions[id])
 	}
 	return out
 }
@@ -335,14 +338,7 @@ func (tx *Tx) Scan(tableName string, fn func(rid RID, row Row) bool) error {
 		return err
 	}
 	tx.e.statsReads.Add(1)
-	matches := tx.collectVisible(t, func() []rowID {
-		//odbis:ignore staticrace -- pick runs inside collectVisible under t.mu.RLock
-		ids := make([]rowID, len(t.versions))
-		for i := range ids {
-			ids[i] = rowID(i)
-		}
-		return ids
-	})
+	matches := tx.collectVisible(t, nil)
 	for i, m := range matches {
 		if err := tx.stepCtx(i); err != nil {
 			return err
@@ -455,7 +451,7 @@ func (tx *Tx) Commit() error {
 	tx.done = true
 	e := tx.e
 	if len(tx.ops) == 0 {
-		e.finishTx(tx.id, txCommitted)
+		e.finishTx(tx.id)
 		return nil
 	}
 	if e.wal != nil {
@@ -463,8 +459,7 @@ func (tx *Tx) Commit() error {
 		if err != nil {
 			// Could not make the transaction durable: abort it so memory
 			// state matches the log.
-			e.finishTx(tx.id, txAborted)
-			e.settle(tx.ops, tx.quotas, txAborted)
+			e.abortTx(tx.id, tx.ops, tx.quotas)
 			return fmt.Errorf("storage: commit: %w", err)
 		}
 		if n > 0 && tx.ctx != nil {
@@ -477,10 +472,10 @@ func (tx *Tx) Commit() error {
 	// any state dump taken after registration) or the ship does (the
 	// frame arrives on the already-registered channel). See ship.go.
 	e.tap.mu.Lock()
-	e.finishTx(tx.id, txCommitted)
+	e.finishTx(tx.id)
 	e.tap.shipLocked(true, func(enc *encoder) { encodeTxFrame(enc, tx.id, tx.ops) })
 	e.tap.mu.Unlock()
-	e.settle(tx.ops, tx.quotas, txCommitted)
+	e.settle(tx.ops, tx.quotas, true)
 	return nil
 }
 
@@ -491,24 +486,42 @@ func (tx *Tx) Rollback() error {
 		return nil
 	}
 	tx.done = true
-	if len(tx.ops) == 0 {
-		// No version references a transaction that wrote nothing, so its
-		// id retires like a commit's instead of joining the aborted set.
-		tx.e.finishTx(tx.id, txCommitted)
-		return nil
-	}
-	tx.e.finishTx(tx.id, txAborted)
-	tx.e.settle(tx.ops, tx.quotas, txAborted)
+	tx.e.abortTx(tx.id, tx.ops, tx.quotas)
 	return nil
 }
 
-func (e *Engine) finishTx(id uint64, st txStatus) {
+// finishTx retires a transaction id from the active set. For a commit
+// this is the visibility flip: every snapshot taken afterwards sees the
+// transaction's versions.
+func (e *Engine) finishTx(id uint64) {
 	e.txMu.Lock()
 	delete(e.txActive, id)
-	if st == txAborted {
-		// Aborted ids must stay resolvable until vacuum rewrites the
-		// versions that reference them.
-		e.txAborted[id] = true
-	}
 	e.txMu.Unlock()
+}
+
+// abortTx retires an aborted transaction. Its versions are undone while
+// its id is still active: an inserted version gets xmin = xidAborted
+// and a deleted one gets xmax = 0. Once the id leaves the active set no
+// version names it, so readers never need to ask whether an id aborted
+// and the engine keeps no record of aborted ids (committedBefore).
+func (e *Engine) abortTx(id uint64, ops []txOp, resv []reservation) {
+	for _, op := range ops {
+		t := op.tbl
+		if t == nil {
+			continue
+		}
+		t.mu.Lock()
+		if slot, ok := t.byRID[op.rid]; ok {
+			v := &t.versions[slot]
+			switch {
+			case op.kind == opInsert && v.xmin == id:
+				v.xmin = xidAborted
+			case op.kind == opDelete && v.xmax == id:
+				v.xmax = 0
+			}
+		}
+		t.mu.Unlock()
+	}
+	e.finishTx(id)
+	e.settle(ops, resv, false)
 }

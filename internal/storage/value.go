@@ -18,6 +18,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -92,11 +93,12 @@ type Value any
 // Normalize widens native Go numeric types to the canonical dynamic types
 // used by the engine (int64, float64) and converts time values to UTC.
 // Unknown dynamic types are returned unchanged and rejected later by
-// CheckValue.
+// CheckValue. Values that are already canonical come back as the same
+// interface value, so normalizing in a per-row loop does not allocate.
 func Normalize(v Value) Value {
 	switch x := v.(type) {
-	case nil:
-		return nil
+	case nil, int64, float64:
+		return v
 	case int:
 		return int64(x)
 	case int8:
@@ -105,8 +107,6 @@ func Normalize(v Value) Value {
 		return int64(x)
 	case int32:
 		return int64(x)
-	case int64:
-		return x
 	case uint:
 		return int64(x)
 	case uint8:
@@ -119,8 +119,6 @@ func Normalize(v Value) Value {
 		return int64(x)
 	case float32:
 		return float64(x)
-	case float64:
-		return x
 	case time.Time:
 		return x.UTC().Truncate(time.Microsecond)
 	default:
@@ -299,88 +297,73 @@ func FormatValue(v Value) string {
 // EncodeKey(a) < EncodeKey(b) lexicographically. It is used as the key
 // form for both hash and B-tree indexes.
 func EncodeKey(vals ...Value) string {
-	var sb strings.Builder
-	for _, v := range vals {
-		encodeKeyOne(&sb, Normalize(v))
-	}
-	return sb.String()
+	return string(AppendKey(nil, vals...))
 }
 
-func encodeKeyOne(sb *strings.Builder, v Value) {
+// AppendKey appends the EncodeKey encoding of vals to dst and returns
+// the extended slice. Hot loops encode into one reused buffer and probe
+// maps with m[string(buf)], which the compiler performs without
+// allocating.
+func AppendKey(dst []byte, vals ...Value) []byte {
+	for _, v := range vals {
+		dst = appendKeyOne(dst, Normalize(v))
+	}
+	return dst
+}
+
+func appendKeyOne(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteByte(0x00)
+		return append(dst, 0x00)
 	case int64:
-		sb.WriteByte(0x01)
-		encodeOrderedFloat(sb, float64(x))
+		dst = appendOrderedFloat(append(dst, 0x01), float64(x))
 		// Disambiguate ints that collide as floats (|x| >= 2^53): append
 		// the exact decimal. Cheap and rare.
 		if x > 1<<53 || x < -(1<<53) {
-			sb.WriteString(strconv.FormatInt(x, 10))
+			dst = strconv.AppendInt(dst, x, 10)
 		}
+		return dst
 	case float64:
-		sb.WriteByte(0x01)
-		encodeOrderedFloat(sb, x)
+		return appendOrderedFloat(append(dst, 0x01), x)
 	case string:
-		sb.WriteByte(0x02)
-		encodeEscaped(sb, x)
+		return appendEscaped(append(dst, 0x02), x)
 	case bool:
-		sb.WriteByte(0x03)
 		if x {
-			sb.WriteByte(1)
-		} else {
-			sb.WriteByte(0)
+			return append(dst, 0x03, 1)
 		}
+		return append(dst, 0x03, 0)
 	case time.Time:
-		sb.WriteByte(0x04)
-		encodeOrderedInt(sb, x.UnixMicro())
+		return binary.BigEndian.AppendUint64(append(dst, 0x04), uint64(x.UnixMicro())^(1<<63))
 	case []byte:
-		sb.WriteByte(0x05)
-		encodeEscaped(sb, string(x))
+		return appendEscaped(append(dst, 0x05), string(x))
 	default:
 		panic(fmt.Sprintf("storage: EncodeKey on unsupported type %T", v))
 	}
 }
 
-// encodeEscaped writes s with 0x00 escaped so that tuple components cannot
-// bleed into each other, terminated by 0x00 0x01.
-func encodeEscaped(sb *strings.Builder, s string) {
+// appendEscaped appends s with 0x00 escaped so that tuple components
+// cannot bleed into each other, terminated by 0x00 0x01.
+func appendEscaped(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == 0x00 {
-			sb.WriteByte(0x00)
-			sb.WriteByte(0xFF)
-			continue
+		if c := s[i]; c == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, c)
 		}
-		sb.WriteByte(c)
 	}
-	sb.WriteByte(0x00)
-	sb.WriteByte(0x01)
+	return append(dst, 0x00, 0x01)
 }
 
-// encodeOrderedFloat writes an 8-byte big-endian encoding of f whose
+// appendOrderedFloat appends an 8-byte big-endian encoding of f whose
 // lexicographic order matches numeric order (standard sign-flip trick).
-func encodeOrderedFloat(sb *strings.Builder, f float64) {
+func appendOrderedFloat(dst []byte, f float64) []byte {
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
 		bits = ^bits
 	} else {
 		bits |= 1 << 63
 	}
-	writeBE64(sb, bits)
-}
-
-func encodeOrderedInt(sb *strings.Builder, i int64) {
-	writeBE64(sb, uint64(i)^(1<<63))
-}
-
-func writeBE64(sb *strings.Builder, u uint64) {
-	var b [8]byte
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(u)
-		u >>= 8
-	}
-	sb.Write(b[:])
+	return binary.BigEndian.AppendUint64(dst, bits)
 }
 
 // Row is a tuple of values positionally aligned with a table's columns.

@@ -77,8 +77,12 @@ go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/ten
 # sinks racing for the last slot. LiveRowCounters is the seeded history
 # (commits, rollbacks, vacuums, checkpoints, torn-tail reopens, replica
 # bootstraps) that holds every live-row counter equal to a full count.
+# SnapshotHistory is the seeded concurrent history (long-lived readers
+# against committing and aborting writers and checkpoints) that holds
+# every read path to the model state as of the reader's begin: the
+# lock-free visibility check and the streamed batch scanner rest on it.
 echo "==> fault-injection + cache-coherence + row-cap suite under -race"
-go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica|RowQuota|RowCap|LiveRowCounters' \
+go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica|RowQuota|RowCap|LiveRowCounters|SnapshotHistory' \
 	./internal/fault/ ./internal/storage/ ./internal/bus/ ./internal/etl/ ./internal/server/ \
 	./internal/sql/ ./internal/services/ ./internal/replica/ ./internal/netsrv/ ./internal/tenant/
 
