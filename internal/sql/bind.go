@@ -13,6 +13,12 @@ import (
 // string work, and an unknown or ambiguous name fails the statement
 // before any row is read, whether or not the table has rows.
 //
+// Resolution also marks the column as read in its binding, including
+// a column of an outer statement that a correlated subquery reads. The
+// planner turns the marks into the column lists its scans fill (column
+// pruning): a column no expression resolves to is never copied out of
+// storage.
+//
 // Binding never mutates the parsed statement, which the plan cache
 // shares between executions and between plans. It returns a copy of
 // each expression with every ColumnRef replaced by a colRef and every
@@ -66,6 +72,7 @@ func (sc *scope) resolve(ref *ColumnRef) (*colRef, error) {
 			}
 		}
 		if found != nil {
+			s.bindings[found.bind].markRead(found.ord)
 			return found, nil
 		}
 		depth++

@@ -261,6 +261,9 @@ func (ec *evalCtx) evalUnary(u *UnaryExpr) (storage.Value, error) {
 		case nil:
 			return nil, nil
 		case int64:
+			if x == math.MinInt64 {
+				return nil, errIntOverflow
+			}
 			return -x, nil
 		case float64:
 			return -x, nil
@@ -422,14 +425,29 @@ func arith(op string, l, r storage.Value) (storage.Value, error) {
 	if lIsInt && rIsInt {
 		switch op {
 		case "+":
-			return li + ri, nil
+			s := li + ri
+			if (li^s)&(ri^s) < 0 {
+				return nil, errIntOverflow
+			}
+			return s, nil
 		case "-":
-			return li - ri, nil
+			d := li - ri
+			if (li^ri)&(li^d) < 0 {
+				return nil, errIntOverflow
+			}
+			return d, nil
 		case "*":
-			return li * ri, nil
+			p := li * ri
+			if li != 0 && (p/li != ri || (li == -1 && ri == math.MinInt64)) {
+				return nil, errIntOverflow
+			}
+			return p, nil
 		case "/":
 			if ri == 0 {
 				return nil, fmt.Errorf("sql: division by zero")
+			}
+			if li == math.MinInt64 && ri == -1 {
+				return nil, errIntOverflow
 			}
 			return li / ri, nil
 		case "%":

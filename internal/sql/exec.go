@@ -169,8 +169,6 @@ type executor struct {
 	yields int
 	// pool recycles batches across this statement's operators.
 	pool storage.BatchPool
-	// kbuf is scratch space for encoding COUNT(DISTINCT) keys.
-	kbuf []byte
 }
 
 // step is the executor's cooperative-cancellation checkpoint, called once
@@ -189,6 +187,27 @@ func (ex *executor) step() error {
 type binding struct {
 	name string // lower-cased alias or table name
 	cols []string
+	// read marks the columns the plan reads (bind.go). It is nil where
+	// whole rows are read anyway: DML targets and expression scopes.
+	read []bool
+}
+
+// markRead records that the plan reads column ord of the binding.
+func (b binding) markRead(ord int) {
+	if b.read != nil {
+		b.read[ord] = true
+	}
+}
+
+// readCols returns the sorted ordinals of the columns the plan reads.
+func (b binding) readCols() []int {
+	cols := make([]int, 0, len(b.read))
+	for j, r := range b.read {
+		if r {
+			cols = append(cols, j)
+		}
+	}
+	return cols
 }
 
 func (ex *executor) schemaOf(table string) (*storage.Schema, error) {
@@ -244,94 +263,6 @@ func unionOrderPos(e Expr, items []SelectItem, columns []string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("sql: ORDER BY over UNION must name an output column or position, got %s", e.String())
-}
-
-// aggState accumulates one aggregate over one group.
-type aggState struct {
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	min, max storage.Value
-	distinct map[string]bool
-}
-
-func (ex *executor) accumulate(st *aggState, node *FuncCall, ec *evalCtx) error {
-	if node.Star { // COUNT(*)
-		st.count++
-		return nil
-	}
-	if len(node.Args) != 1 {
-		return fmt.Errorf("sql: %s takes exactly one argument", node.Name)
-	}
-	v, err := ec.eval(node.Args[0])
-	if err != nil {
-		return err
-	}
-	if v == nil {
-		return nil // aggregates skip NULLs
-	}
-	if node.Distinct {
-		if st.distinct == nil {
-			st.distinct = make(map[string]bool)
-		}
-		ex.kbuf = storage.AppendKey(ex.kbuf[:0], v)
-		if st.distinct[string(ex.kbuf)] {
-			return nil
-		}
-		st.distinct[string(ex.kbuf)] = true
-	}
-	st.count++
-	switch node.Name {
-	case "COUNT":
-	case "SUM", "AVG":
-		switch x := v.(type) {
-		case int64:
-			st.sumI += x
-			st.sumF += float64(x)
-		case float64:
-			st.isFloat = true
-			st.sumF += x
-		default:
-			return fmt.Errorf("sql: %s requires numeric values, got %T", node.Name, v)
-		}
-	case "MIN":
-		if st.min == nil || storage.Compare(v, st.min) < 0 {
-			st.min = v
-		}
-	case "MAX":
-		if st.max == nil || storage.Compare(v, st.max) > 0 {
-			st.max = v
-		}
-	default:
-		return fmt.Errorf("sql: unknown aggregate %s", node.Name)
-	}
-	return nil
-}
-
-func finishAggregate(node *FuncCall, st *aggState) storage.Value {
-	switch node.Name {
-	case "COUNT":
-		return st.count
-	case "SUM":
-		if st.count == 0 {
-			return nil
-		}
-		if st.isFloat {
-			return st.sumF
-		}
-		return st.sumI
-	case "AVG":
-		if st.count == 0 {
-			return nil
-		}
-		return st.sumF / float64(st.count)
-	case "MIN":
-		return st.min
-	case "MAX":
-		return st.max
-	}
-	return nil
 }
 
 // collectAggregates appends every aggregate FuncCall in e that acc does
@@ -400,6 +331,7 @@ func expandStars(items []SelectItem, selBound []Expr, bindings []binding) ([]Sel
 			}
 			matched = true
 			for j, c := range b.cols {
+				b.markRead(j)
 				out = append(out, SelectItem{
 					Expr:  &colRef{ref: &ColumnRef{Table: b.name, Column: c}, bind: bi, ord: j},
 					Alias: c,

@@ -622,3 +622,40 @@ func TestUnionInSubquery(t *testing.T) {
 		t.Errorf("union subquery rows = %d", len(res.Rows))
 	}
 }
+
+// TestIntegerOverflow: integer arithmetic and SUM report an overflow
+// instead of wrapping around.
+func TestIntegerOverflow(t *testing.T) {
+	db := newTestDB(t)
+	mustExec(t, db, "CREATE TABLE big (x INT, f FLOAT)")
+	mustExec(t, db, "INSERT INTO big VALUES (9223372036854775807, 1.5), (1, 2.5)")
+	for _, q := range []string{
+		"SELECT SUM(x) FROM big",
+		"SELECT x + 1 FROM big",
+		"SELECT x * 2 FROM big",
+		"SELECT -x - 2 FROM big",
+		"SELECT (-x - 1) / -1 FROM big WHERE x > 1",
+		"SELECT -(-x - 1) FROM big WHERE x > 1",
+	} {
+		res, err := db.Query(q)
+		if err == nil || err.Error() != "sql: integer overflow" {
+			t.Errorf("Query(%q) = %v, %v; want sql: integer overflow", q, res, err)
+		}
+	}
+	// Sums that fit, and mixed sums that end as floats, still succeed.
+	for q, want := range map[string]string{
+		"SELECT SUM(x) FROM big WHERE x = 1":                         "1",
+		"SELECT SUM(x - 1) FROM big":                                 "9223372036854775806",
+		"SELECT x - 9223372036854775807 FROM big WHERE x > 1":        "0",
+		"SELECT SUM(CASE WHEN x > 1 THEN x ELSE f END) FROM big":     "9.223372036854776e+18",
+		"SELECT SUM(x) FROM big GROUP BY x ORDER BY 1":               "1",
+		"SELECT x * -1 FROM big WHERE x > 1":                         "-9223372036854775807",
+		"SELECT (-x - 1) / 1 FROM big WHERE x > 1":                   "-9223372036854775808",
+		"SELECT COUNT(*) FROM big WHERE x + 0 = 9223372036854775807": "1",
+	} {
+		got := rowsAsStrings(mustExec(t, db, q))
+		if len(got) == 0 || got[0] != want {
+			t.Errorf("Query(%q) = %v, want first row %s", q, got, want)
+		}
+	}
+}

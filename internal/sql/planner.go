@@ -30,7 +30,8 @@ const (
 // scanStep describes how one FROM table is read.
 type scanStep struct {
 	table  string
-	width  int // column count of the table
+	width  int   // column count of the table
+	cols   []int // sorted ordinals of the columns the plan reads
 	access accessKind
 	index  string // index name for accessIndexEq / accessIndexRange
 	// eqKey holds one constant-foldable expression per index column
@@ -71,9 +72,14 @@ type selectPlan struct {
 	width    int   // total joined-row width
 	base     scanStep
 	joins    []joinStep
+	// live lists, sorted, the joined-row positions the plan reads: the
+	// only columns the scans fill and the operators copy.
+	live     []int
 	where    Expr
+	filter   *cmpKernel // where as a typed comparison, or nil
 	groupBy  []Expr
-	aggs     []*FuncCall
+	keyCols  []int // batch column of each bare-column GROUP BY key, else -1
+	aggs     []aggPlan
 	having   Expr
 	grouped  bool
 	items    []SelectItem // stars expanded
@@ -202,7 +208,7 @@ func planCore(db *DB, sel *SelectStmt, outer *scope) (*selectPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp.bindings = append(sp.bindings, binding{name: strings.ToLower(first.Name()), cols: lowerCols(schema)})
+		sp.bindings = append(sp.bindings, newBinding(first, schema))
 		base, err := planScan(db, first.Table, sp.bindings[0].name, sel.Where, len(schema.Columns))
 		if err != nil {
 			return nil, err
@@ -213,7 +219,7 @@ func planCore(db *DB, sel *SelectStmt, outer *scope) (*selectPlan, error) {
 			if err != nil {
 				return nil, err
 			}
-			nb := binding{name: strings.ToLower(ref.Name()), cols: lowerCols(schema)}
+			nb := newBinding(ref, schema)
 			for _, b := range sp.bindings {
 				if b.name == nb.name {
 					return nil, fmt.Errorf("sql: duplicate table name or alias %q in FROM", ref.Name())
@@ -306,12 +312,43 @@ func planCore(db *DB, sel *SelectStmt, outer *scope) (*selectPlan, error) {
 	if sp.having, err = bindExpr(db, sel.Having, sc); err != nil {
 		return nil, err
 	}
-	sp.aggs = collectAggregates(sp.having, aggNodes)
-	sp.grouped = len(sp.groupBy) > 0 || len(sp.aggs) > 0
+	aggNodes = collectAggregates(sp.having, aggNodes)
+	sp.grouped = len(sp.groupBy) > 0 || len(aggNodes) > 0
 	if sp.limit, sp.offset, err = bindLimit(db, sel); err != nil {
 		return nil, err
 	}
+
+	// Every expression is bound, subqueries included, so the read marks
+	// are final: turn them into the scans' column lists and pick the
+	// kernels.
+	for i, b := range sp.bindings {
+		cols := b.readCols()
+		if i == 0 {
+			sp.base.cols = cols
+		} else {
+			sp.joins[i-1].scan.cols = cols
+		}
+		for _, ord := range cols {
+			sp.live = append(sp.live, sp.colOff[i]+ord)
+		}
+	}
+	sp.filter = planFilter(sp.where, sp.colOff)
+	sp.keyCols = make([]int, len(sp.groupBy))
+	for i, e := range sp.groupBy {
+		sp.keyCols[i] = batchCol(e, sp.colOff)
+	}
+	sp.aggs = make([]aggPlan, len(aggNodes))
+	for i, node := range aggNodes {
+		if sp.aggs[i], err = planAggregate(node, sp.colOff); err != nil {
+			return nil, err
+		}
+	}
 	return sp, nil
+}
+
+// newBinding is the FROM binding of ref, with no column read yet.
+func newBinding(ref TableRef, schema *storage.Schema) binding {
+	return binding{name: strings.ToLower(ref.Name()), cols: lowerCols(schema), read: make([]bool, len(schema.Columns))}
 }
 
 // bindKeys binds GROUP BY or ORDER BY keys. A 1-based integer literal

@@ -102,13 +102,14 @@ func (c *constCursor) close() {
 	c.out = nil
 }
 
-// scanCursor reads the base table. Full scans stream through a
-// storage.BatchScanner; index paths evaluate the planned key
-// expressions once per execution and materialize the matching rows up
-// front (index lookups are snapshot reads, same as the row executor
-// did). A key expression that fails to evaluate degrades to a full
-// scan — mirroring the pre-planner behavior where a non-evaluable
-// bound never became an index path in the first place.
+// scanCursor reads the base table, filling only the columns the plan
+// reads. Full scans stream through a storage.BatchScanner; index paths
+// evaluate the planned key expressions once per execution and
+// materialize the matching rows up front (index lookups are snapshot
+// reads, same as the row executor did). A key expression that fails to
+// evaluate degrades to a full scan — mirroring the pre-planner behavior
+// where a non-evaluable bound never became an index path in the first
+// place.
 type scanCursor struct {
 	ex     *executor
 	step   *scanStep
@@ -180,7 +181,7 @@ func (c *scanCursor) open() error {
 			return err
 		}
 	}
-	sc, err := c.ex.tx.NewBatchScanner(c.step.table)
+	sc, err := c.ex.tx.NewBatchScanner(c.step.table, c.step.cols)
 	if err != nil {
 		return err
 	}
@@ -210,7 +211,7 @@ func (c *scanCursor) next() (*storage.Batch, error) {
 	}
 	c.out.Reset(c.step.width)
 	for c.pos < len(c.rows) && c.out.Len() < execBatchRows {
-		c.out.PushRow(c.rows[c.pos])
+		c.out.PushRow(c.rows[c.pos], c.step.cols)
 		c.pos++
 	}
 	return c.out, nil
@@ -224,14 +225,16 @@ func (c *scanCursor) close() {
 // joinCursor joins the left input with one more table. Hash joins
 // build a map over the new table keyed by the planned equi-key; other
 // joins nest-loop over the materialized right rows. Output batches
-// carry the widened row: left columns then the new table's.
+// carry the widened row: left columns then the new table's, of which
+// only the columns the plan reads are filled.
 type joinCursor struct {
 	ex     *executor
 	left   cursor
 	js     *joinStep
 	sp     *selectPlan
-	lidx   int // index of the new binding; left is bindings[:lidx]
-	lw     int // left row width
+	lidx   int   // index of the new binding; left is bindings[:lidx]
+	lw     int   // left row width
+	llive  []int // left positions the plan reads
 	params []storage.Value
 	outer  *rowEnv
 
@@ -365,20 +368,19 @@ func (c *joinCursor) next() (*storage.Batch, error) {
 	return c.out, nil
 }
 
-// emit appends left row r of the current left batch, widened with
-// right (nil = null-extended), to the output batch.
+// emit appends the read columns of left row r of the current left
+// batch, widened with right (nil = null-extended), to the output batch.
 func (c *joinCursor) emit(r int, right storage.Row) {
 	out := c.out
-	for col := 0; col < c.lw; col++ {
+	for _, col := range c.llive {
 		out.Cols[col] = append(out.Cols[col], c.lb.Cols[col][r])
 	}
-	rw := c.js.scan.width
-	for col := 0; col < rw; col++ {
-		if right == nil {
-			out.Cols[c.lw+col] = append(out.Cols[c.lw+col], nil)
-		} else {
-			out.Cols[c.lw+col] = append(out.Cols[c.lw+col], right[col])
+	for _, col := range c.js.scan.cols {
+		var v storage.Value
+		if right != nil {
+			v = right[col]
 		}
+		out.Cols[c.lw+col] = append(out.Cols[c.lw+col], v)
 	}
 	out.SetLen(out.Len() + 1)
 }
@@ -390,13 +392,20 @@ func (c *joinCursor) close() {
 }
 
 // filterCursor applies the WHERE predicate, compacting each batch in
-// place — surviving rows shift down and the batch length shrinks.
+// place — surviving rows shift down and the batch length shrinks. A
+// predicate the planner resolved to a comparison kernel is tested in a
+// typed loop; rows the kernel does not handle go through evalBool.
 type filterCursor struct {
 	ex    *executor
 	src   cursor
 	where Expr
 	view  *rowView
-	n     int // binding count
+	n     int   // binding count
+	live  []int // the positions compaction moves
+	// kernel, when set, tests where against this execution's operand
+	// kval.
+	kernel *cmpKernel
+	kval   int64
 }
 
 func (c *filterCursor) next() (*storage.Batch, error) {
@@ -409,21 +418,30 @@ func (c *filterCursor) next() (*storage.Batch, error) {
 			return nil, nil
 		}
 		c.view.bindBatch(b, c.n)
+		var kcol []storage.Value
+		if c.kernel != nil {
+			kcol = b.Cols[c.kernel.col]
+		}
 		w := 0
 		for r := 0; r < b.Len(); r++ {
 			if err := c.ex.step(); err != nil {
 				return nil, err
 			}
-			c.view.env.cur = r
-			ok, err := c.view.ec.evalBool(c.where)
-			if err != nil {
-				return nil, err
+			ok, handled := false, false
+			if kcol != nil {
+				ok, handled = c.kernel.test(kcol[r], c.kval)
+			}
+			if !handled {
+				c.view.env.cur = r
+				if ok, err = c.view.ec.evalBool(c.where); err != nil {
+					return nil, err
+				}
 			}
 			if !ok {
 				continue
 			}
 			if w != r {
-				for col := range b.Cols {
+				for _, col := range c.live {
 					b.Cols[col][w] = b.Cols[col][r]
 				}
 			}
@@ -455,18 +473,26 @@ func (ex *executor) buildPipeline(sp *selectPlan, params []storage.Value, outer 
 			sp:     sp,
 			lidx:   i + 1,
 			lw:     sp.colOff[i+1],
+			llive:  sp.live[:sort.SearchInts(sp.live, sp.colOff[i+1])],
 			params: params,
 			outer:  outer,
 		}
 	}
 	if sp.where != nil {
-		cur = &filterCursor{
+		fc := &filterCursor{
 			ex:    ex,
 			src:   cur,
 			where: sp.where,
 			view:  ex.newRowView(sp.bindings, sp.colOff, outer, params),
 			n:     len(sp.bindings),
+			live:  sp.live,
 		}
+		if sp.filter != nil {
+			if x, ok := sp.filter.operandInt(&fc.view.ec); ok {
+				fc.kernel, fc.kval = sp.filter, x
+			}
+		}
+		cur = fc
 	}
 	return cur
 }
@@ -654,19 +680,21 @@ type vgroup struct {
 	aggs map[*FuncCall]storage.Value
 }
 
+// groupBatches drains cur into groups. Per batch it assigns every row
+// a group id, then runs each aggregate's kernel over the whole batch.
 func (ex *executor) groupBatches(cur cursor, sp *selectPlan, view *rowView) ([]*vgroup, error) {
-	type bucket struct {
-		g      *vgroup
-		states []aggState
+	ks := newKernelScratch()
+	table := groupTable{byStr: map[string]int32{}, byKey: map[string]int32{}}
+	keyVals := make([]storage.Value, len(sp.groupBy))
+	// reps[g] and states[i][g] belong to group g.
+	var reps []storage.Row
+	states := make([][]aggState, len(sp.aggs))
+	newGroup := func(rep storage.Row) {
+		reps = append(reps, rep)
+		for i := range states {
+			states[i] = append(states[i], aggState{})
+		}
 	}
-	newBucket := func(rep storage.Row) *bucket {
-		return &bucket{g: &vgroup{rep: rep}, states: make([]aggState, len(sp.aggs))}
-	}
-	order := make([]*bucket, 0, 16)
-	buckets := map[string]*bucket{}
-	// key is the reused group-key buffer: a probe for an existing group
-	// converts it without allocating, only a new group copies it.
-	var key []byte
 
 	for {
 		b, err := cur.next()
@@ -677,45 +705,59 @@ func (ex *executor) groupBatches(cur cursor, sp *selectPlan, view *rowView) ([]*
 			break
 		}
 		view.bindBatch(b, len(sp.bindings))
+		ks.gids = ks.gids[:0]
 		for r := 0; r < b.Len(); r++ {
 			if err := ex.step(); err != nil {
 				return nil, err
 			}
-			view.env.cur = r
-			key = key[:0]
-			for _, ge := range sp.groupBy {
-				v, err := view.ec.eval(ge)
-				if err != nil {
+			for k, ge := range sp.groupBy {
+				if col := sp.keyCols[k]; col >= 0 {
+					keyVals[k] = b.Cols[col][r]
+					continue
+				}
+				view.env.cur = r
+				if keyVals[k], err = view.ec.eval(ge); err != nil {
 					return nil, err
 				}
-				key = storage.AppendKey(key, v)
 			}
-			bk, ok := buckets[string(key)]
-			if !ok {
-				bk = newBucket(flattenRow(b, r, sp.width))
-				buckets[string(key)] = bk
-				order = append(order, bk)
+			// Without GROUP BY every row falls in group 0.
+			id, isNew := int32(0), len(reps) == 0
+			if len(keyVals) > 0 {
+				id, isNew = table.id(keyVals)
 			}
-			for i, node := range sp.aggs {
-				if err := ex.accumulate(&bk.states[i], node, &view.ec); err != nil {
-					return nil, err
-				}
+			if isNew {
+				newGroup(flattenRow(b, r, sp.width, sp.live))
+			}
+			ks.gids = append(ks.gids, id)
+		}
+		for i := range sp.aggs {
+			a := &sp.aggs[i]
+			vals, err := a.argValues(b, view, ks)
+			if err != nil {
+				return nil, err
+			}
+			if err := a.accumulate(states[i], ks.gids, vals, ks); err != nil {
+				return nil, err
 			}
 		}
 	}
 
 	// With no GROUP BY, aggregates over zero rows still yield one group.
-	if len(sp.groupBy) == 0 && len(order) == 0 {
-		order = append(order, newBucket(nil))
+	if len(sp.groupBy) == 0 && len(reps) == 0 {
+		newGroup(nil)
 	}
 
-	groups := make([]*vgroup, len(order))
-	for gi, bk := range order {
-		bk.g.aggs = make(map[*FuncCall]storage.Value, len(sp.aggs))
-		for i, node := range sp.aggs {
-			bk.g.aggs[node] = finishAggregate(node, &bk.states[i])
+	groups := make([]*vgroup, len(reps))
+	for g, rep := range reps {
+		vg := &vgroup{rep: rep, aggs: make(map[*FuncCall]storage.Value, len(sp.aggs))}
+		for i := range sp.aggs {
+			v, err := sp.aggs[i].finish(&states[i][g])
+			if err != nil {
+				return nil, err
+			}
+			vg.aggs[sp.aggs[i].node] = v
 		}
-		groups[gi] = bk.g
+		groups[g] = vg
 	}
 	return groups, nil
 }
@@ -737,10 +779,11 @@ func dedupRows[T any](items []T, keyOf func(T) storage.Row) []T {
 	return out
 }
 
-// flattenRow copies row r of b into a fresh row-major Row.
-func flattenRow(b *storage.Batch, r, width int) storage.Row {
+// flattenRow copies the live columns of row r of b into a fresh
+// row-major Row of the given width; the other columns stay NULL.
+func flattenRow(b *storage.Batch, r, width int, live []int) storage.Row {
 	row := make(storage.Row, width)
-	for c := 0; c < width; c++ {
+	for _, c := range live {
 		row[c] = b.Cols[c][r]
 	}
 	return row

@@ -51,25 +51,18 @@ func (b *Batch) SetLen(n int) { b.n = n }
 // Width returns the number of columns.
 func (b *Batch) Width() int { return len(b.Cols) }
 
-// PushRow appends one row-major row. len(row) must equal Width().
-func (b *Batch) PushRow(row Row) {
-	for i := range b.Cols {
-		b.Cols[i] = append(b.Cols[i], row[i])
+// PushRow appends the columns cols of one row-major row; the other
+// columns of the batch stay empty. A pruned batch is read only at the
+// columns it was filled at.
+func (b *Batch) PushRow(row Row, cols []int) {
+	for _, c := range cols {
+		b.Cols[c] = append(b.Cols[c], row[c])
 	}
 	b.n++
 }
 
 // Value returns column col of row r.
 func (b *Batch) Value(col, r int) Value { return b.Cols[col][r] }
-
-// Row copies row r into dst (grown as needed) and returns it.
-func (b *Batch) Row(r int, dst Row) Row {
-	dst = dst[:0]
-	for c := range b.Cols {
-		dst = append(dst, b.Cols[c][r])
-	}
-	return dst
-}
 
 // BatchPool recycles batches within one executor. Get and Put follow
 // the usual free-list discipline; a batch obtained from Get is reused
@@ -104,8 +97,9 @@ func (p *BatchPool) Put(b *Batch) {
 // BatchScanner streams the visible rows of one table in insertion
 // order, batch-at-a-time. It pins the table and its version count when
 // created; each Next takes the table read lock, checks visibility and
-// copies the visible rows straight into the batch columns, so a full
-// scan allocates nothing per row. Rows appended after creation are not
+// copies the scanned columns of the visible rows straight into the
+// batch, so a full scan allocates nothing per row and copies no column
+// the reader does not ask for. Rows appended after creation are not
 // seen (they belong to later transactions, or to this one's later
 // writes); rows this transaction deletes after creation are skipped.
 //
@@ -117,12 +111,15 @@ type BatchScanner struct {
 	tx    *Tx
 	t     *table
 	width int
-	end   int // version count pinned at creation
+	cols  []int // sorted ordinals Next fills
+	end   int   // version count pinned at creation
 	pos   int
 }
 
-// NewBatchScanner starts a batched scan of tableName.
-func (tx *Tx) NewBatchScanner(tableName string) (*BatchScanner, error) {
+// NewBatchScanner starts a batched scan of tableName that fills the
+// columns at the sorted ordinals cols. A nil cols scans every column:
+// it stands for the full ordinal list.
+func (tx *Tx) NewBatchScanner(tableName string, cols []int) (*BatchScanner, error) {
 	if err := tx.check(); err != nil {
 		return nil, err
 	}
@@ -134,14 +131,22 @@ func (tx *Tx) NewBatchScanner(tableName string) (*BatchScanner, error) {
 	t.mu.RLock()
 	end := len(t.versions)
 	t.mu.RUnlock()
-	return &BatchScanner{tx: tx, t: t, width: len(t.schema.Columns), end: end}, nil
+	width := len(t.schema.Columns)
+	if cols == nil {
+		cols = make([]int, width)
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	return &BatchScanner{tx: tx, t: t, width: width, cols: cols, end: end}, nil
 }
 
 // Width returns the column count of the scanned table.
 func (s *BatchScanner) Width() int { return s.width }
 
-// Next resets b to the table width and fills it with up to max rows.
-// It returns the number of rows delivered; 0 means the scan is done.
+// Next resets b to the table width and fills the scanned columns of up
+// to max rows. It returns the number of rows delivered; 0 means the
+// scan is done.
 // The values in b are shared with the storage layer and must not be
 // mutated.
 func (s *BatchScanner) Next(b *Batch, max int) (int, error) {
@@ -159,20 +164,20 @@ func (s *BatchScanner) Next(b *Batch, max int) (int, error) {
 		v := &t.versions[s.pos]
 		s.pos++
 		if tx.e.visible(v, tx.snap, tx.id) {
-			b.PushRow(v.row)
+			b.PushRow(v.row, s.cols)
 		}
 	}
 	return b.n, nil
 }
 
-// ScanBatches visits every visible row of the table through a reused
-// batch of at most size rows per callback. The batch is only valid
-// for the duration of fn; fn must copy anything it keeps.
+// ScanBatches visits every column of every visible row of the table
+// through a reused batch of at most size rows per callback. The batch
+// is only valid for the duration of fn; fn must copy anything it keeps.
 func (tx *Tx) ScanBatches(tableName string, size int, fn func(*Batch) error) error {
 	if size <= 0 {
 		return fmt.Errorf("storage: ScanBatches size must be positive, got %d", size)
 	}
-	s, err := tx.NewBatchScanner(tableName)
+	s, err := tx.NewBatchScanner(tableName, nil)
 	if err != nil {
 		return err
 	}

@@ -10,18 +10,25 @@ func TestBatchPushAndCompact(t *testing.T) {
 	if b.Width() != 2 || b.Len() != 0 {
 		t.Fatalf("fresh batch: width=%d len=%d", b.Width(), b.Len())
 	}
-	b.PushRow(Row{int64(1), "a"})
-	b.PushRow(Row{int64(2), "b"})
-	b.PushRow(Row{int64(3), "c"})
+	both := []int{0, 1}
+	b.PushRow(Row{int64(1), "a"}, both)
+	b.PushRow(Row{int64(2), "b"}, both)
+	b.PushRow(Row{int64(3), "c"}, both)
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", b.Len())
 	}
 	if got := b.Value(1, 2); got != "c" {
 		t.Fatalf("Value(1,2) = %v, want c", got)
 	}
-	row := b.Row(1, nil)
-	if len(row) != 2 || row[0] != int64(2) || row[1] != "b" {
-		t.Fatalf("Row(1) = %v", row)
+	if b.Value(0, 1) != int64(2) || b.Value(1, 1) != "b" {
+		t.Fatalf("row 1 = %v, %v", b.Value(0, 1), b.Value(1, 1))
+	}
+
+	// A pruned push fills only the listed columns.
+	p := NewBatch(2)
+	p.PushRow(Row{int64(9), "z"}, []int{1})
+	if p.Len() != 1 || len(p.Cols[0]) != 0 || p.Value(1, 0) != "z" {
+		t.Fatalf("pruned push: len=%d cols=%v", p.Len(), p.Cols)
 	}
 
 	// In-place compaction: keep rows 0 and 2 and shrink via SetLen.
@@ -44,7 +51,7 @@ func TestBatchPushAndCompact(t *testing.T) {
 func TestBatchPoolRecycles(t *testing.T) {
 	var p BatchPool
 	a := p.Get(2)
-	a.PushRow(Row{int64(1), "x"})
+	a.PushRow(Row{int64(1), "x"}, []int{0, 1})
 	p.Put(a)
 	b := p.Get(4)
 	if b != a {
@@ -68,7 +75,7 @@ func TestBatchScannerStreamsSnapshot(t *testing.T) {
 	mustInsert(t, e, "users", rows...)
 
 	err := e.View(func(tx *Tx) error {
-		s, err := tx.NewBatchScanner("users")
+		s, err := tx.NewBatchScanner("users", nil)
 		if err != nil {
 			return err
 		}
@@ -99,6 +106,41 @@ func TestBatchScannerStreamsSnapshot(t *testing.T) {
 			if id != int64(i) {
 				t.Fatalf("row %d: id %d (insertion order broken)", i, id)
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchScannerFillsListedColumns: a scanner built with a column
+// list fills those columns only, for every visible row.
+func TestBatchScannerFillsListedColumns(t *testing.T) {
+	e := newTestEngine(t)
+	mustInsert(t, e, "users", Row{int64(1), "a", int64(30), true}, Row{int64(2), "b", int64(40), false})
+	err := e.View(func(tx *Tx) error {
+		s, err := tx.NewBatchScanner("users", []int{0, 2})
+		if err != nil {
+			return err
+		}
+		b := NewBatch(s.Width())
+		n, err := s.Next(b, 10)
+		if err != nil {
+			return err
+		}
+		if n != 2 || len(b.Cols[1]) != 0 || len(b.Cols[3]) != 0 {
+			t.Fatalf("n=%d, unlisted columns filled: %v", n, b.Cols)
+		}
+		if b.Value(0, 1) != int64(2) || b.Value(2, 1) != int64(40) {
+			t.Fatalf("row 1 = %v, %v", b.Value(0, 1), b.Value(2, 1))
+		}
+		none, err := tx.NewBatchScanner("users", []int{})
+		if err != nil {
+			return err
+		}
+		if n, err := none.Next(b, 10); err != nil || n != 2 || len(b.Cols[0]) != 0 {
+			t.Fatalf("empty column list: n=%d err=%v cols=%v", n, err, b.Cols)
 		}
 		return nil
 	})

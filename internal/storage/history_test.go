@@ -333,7 +333,7 @@ func checkScannerSurvivesGrowthAndCheckpoint(t *testing.T, e *Engine, model *his
 	}
 	tx, want := model.begin(e)
 	defer tx.Rollback()
-	sc, err := tx.NewBatchScanner("kv")
+	sc, err := tx.NewBatchScanner("kv", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
